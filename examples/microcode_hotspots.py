@@ -16,12 +16,11 @@ import sys
 
 from repro.analysis.reduction import reference_map
 from repro.workloads.engine import run_workload
-from repro.workloads.profiles import TIMESHARING_RESEARCH
 
 
 def main():
     instructions = int(sys.argv[1]) if len(sys.argv) > 1 else 30_000
-    measurement = run_workload(TIMESHARING_RESEARCH, instructions)
+    measurement = run_workload("timesharing-research", instructions)
     histogram = measurement.histogram
     store, umap = reference_map()
 

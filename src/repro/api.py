@@ -4,9 +4,8 @@ Every capability the command line exposes — the paper's measurement
 campaign, single workloads, control-store hotspots, the assembler
 listing, the block diagram, the microbenchmark sweep, design-space
 exploration, validation — is one plain function here, returning a
-frozen dataclass with a uniform :meth:`~_Result.to_json`.  The CLI
-(:mod:`repro.cli`) is a thin argparse shell over these calls; scripts
-and notebooks should import this module instead of reaching into the
+frozen dataclass with a uniform :meth:`~_Result.to_json`.  Scripts and
+notebooks should import this module instead of reaching into the
 engine packages::
 
     from repro import api
@@ -14,6 +13,14 @@ engine packages::
     result = api.characterize(smoke=True, table="8")
     print(result.cycles_per_instruction)
     json_doc = result.to_json()
+
+Each command is declared once, here.  Its function signature is the
+only place its parameter names and defaults are written; the
+:class:`Command` declaration beside it (see :data:`COMMANDS`) adds each
+parameter's type, help text and CLI spelling, plus the command's one
+canonicalizing step — every check and shorthand expansion.  The CLI
+(:mod:`repro.cli`) builds each subcommand's flags from the declaration,
+and the job server (:mod:`repro.serve`) binds request payloads to it.
 
 Contract:
 
@@ -32,7 +39,6 @@ Contract:
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -50,7 +56,7 @@ from repro.workloads import engine as _engines
 from repro.workloads import registry as _registry
 
 __all__ = ["ApiError", "DEFAULT_INSTRUCTIONS", "SMOKE_INSTRUCTIONS",
-           "TABLES",
+           "TABLES", "COMMANDS", "Command", "Param",
            "CharacterizeResult", "WorkloadResult", "HotspotsResult",
            "DisasmResult", "Figure1Result", "ProfilesResult",
            "WorkloadsResult", "TraceResult",
@@ -78,6 +84,9 @@ TABLES = {
 
 class ApiError(ValueError):
     """A bad argument to a facade call (the CLI maps it to exit 2)."""
+
+
+# -- canonicalizing steps -------------------------------------------------
 
 
 def _engine(value, choices=None):
@@ -112,29 +121,22 @@ def _machine(value):
         raise ApiError(str(exc)) from exc
 
 
+def _budget(instructions, smoke: bool,
+            default: int = DEFAULT_INSTRUCTIONS) -> int:
+    """An explicit budget wins; else ``smoke``'s fixed one or ``default``."""
+    if instructions is not None:
+        return instructions
+    return SMOKE_INSTRUCTIONS if smoke else default
+
+
 def _workload(value, machine_name: str = None):
     """Resolve one workload argument to its registered spec.
 
     Accepts a registered name, a unique name suffix, a ``trace:PATH``
-    reference, a :class:`~repro.workloads.registry.WorkloadSpec`, or —
-    deprecated — a raw :class:`~repro.workloads.profiles.MixProfile`.
+    reference, or a :class:`~repro.workloads.registry.WorkloadSpec`.
     Unknown workloads and machine-refused workloads raise
     :class:`ApiError` before anything simulates, listing the registry.
     """
-    from repro.workloads.profiles import MixProfile
-
-    if isinstance(value, MixProfile):
-        spec = _registry.WORKLOADS.get(value.name)
-        if spec is None or spec.profile is not value:
-            raise ApiError(
-                f"profile {value.name!r} is not a registered workload; "
-                "register it (repro.workloads.registry.register) or "
-                "call the engine directly")
-        warnings.warn(
-            "passing a MixProfile to the facade is deprecated; pass "
-            f"the workload name ({value.name!r}) instead",
-            DeprecationWarning, stacklevel=3)
-        return spec
     try:
         spec = _registry.find_workload(value)
     except _registry.WorkloadError as exc:
@@ -154,27 +156,163 @@ def _workload(value, machine_name: str = None):
     return spec
 
 
-def _workload_names(value, machine_name: str = None):
+def _workload_names(value, machine_name: str = None) -> tuple:
     """Resolve a ``workloads`` argument to a tuple of registered names.
 
-    ``None`` passes through (callers default to the paper's five);
-    ``"all"`` selects every registered generator workload the machine
-    supports; otherwise each entry resolves via :func:`_workload`.
+    ``None`` means the paper's five; ``"all"`` every registered
+    generator workload the machine supports; a name or a list of names
+    resolves entry by entry via :func:`_workload`, duplicates dropped.
+    A selection of no workloads at all raises :class:`ApiError`.
     """
     if value is None:
-        return None
+        return _registry.paper_workload_names()
     if value == "all":
-        return tuple(
+        names = tuple(
             name for name, spec in _registry.WORKLOADS.items()
             if spec.trace is None and spec.supported_on(machine_name))
-    if isinstance(value, str):
-        value = [value]
-    names = []
-    for item in value:
-        name = _workload(item, machine_name).name
-        if name not in names:
-            names.append(name)
-    return tuple(names)
+    else:
+        if isinstance(value, str):
+            value = [value]
+        if not isinstance(value, (list, tuple)):
+            raise ApiError(
+                "field 'workloads' must be a list of workload names, "
+                f"a single name, or 'all'; got {value!r}")
+        names = tuple(dict.fromkeys(
+            _workload(item, machine_name).name for item in value))
+    if not names:
+        raise ApiError("field 'workloads' selects no workloads")
+    return names
+
+
+def _tables(table) -> tuple:
+    """Resolve a ``table`` argument: ``"all"``/None, one key, or keys."""
+    if table in ("all", None):
+        return tuple(TABLES)
+    keys = (table,) if isinstance(table, str) \
+        else tuple(str(key) for key in table)
+    for key in keys:
+        if key not in TABLES:
+            raise ApiError(f"unknown table {key!r}; choose from "
+                           f"{', '.join(TABLES)}")
+    return keys
+
+
+# -- command declarations -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """A facade parameter's type, help text and CLI spelling.
+
+    The name and default are the facade signature's.  ``kind`` is the
+    type a served payload must carry and the CLI's conversion (None
+    leaves both to the command's canonicalizer); a ``bool`` parameter
+    becomes a CLI switch that flips the signature's default.  ``flag``
+    is the CLI spelling — derived from the name when None, ``""`` for a
+    positional argument; ``cli`` holds extra argparse settings.
+    """
+
+    kind: object
+    help: str
+    flag: str = None
+    cli: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command, declared once beside its facade function.
+
+    ``help`` is the function's docstring summary; ``params`` maps each
+    exposed parameter, in signature order, to its :class:`Param`;
+    ``defaults`` are the signature's.  ``resolve`` is the
+    canonicalizing step of the commands the job server accepts: bound
+    arguments in, resolved values out.
+    """
+
+    help: str
+    params: dict
+    defaults: dict
+    resolve: object = None
+
+    def canonical(self, given: dict) -> dict:
+        """``given`` bound over the defaults and resolved, as JSON."""
+        return _jsonable(self.resolve({**self.defaults, **given}))
+
+
+#: command name -> its declaration, in definition (and CLI) order.
+COMMANDS = {}
+
+
+def _workload_list(text: str):
+    """Parse a ``--workloads`` value: ``all``, or comma-separated names."""
+    if text == "all":
+        return text
+    return tuple(name.strip() for name in text.split(",")
+                 if name.strip())
+
+
+def _read_source(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
+
+
+def _address(text: str) -> int:
+    return int(text, 0)
+
+
+#: Parameters several commands share, each declared once.
+SHARED_PARAMS = {
+    "seed": Param(int, "workload seed (default: 1984, or the sweep "
+                       "spec's)"),
+    "jobs": Param(int, "worker processes for parallel fan-out (default "
+                       "1 = serial; results are bit-identical either "
+                       "way)"),
+    "smoke": Param(bool, "small fixed budgets / subsets (CI smoke run)"),
+    "store": Param(str, "explore result store directory "
+                        "(default: .explore/store)"),
+    "engine": Param(None, "execution engine: scalar (default), batch "
+                          "(lockstep many-lane engine, bit-identical "
+                          "results), or auto; validated before "
+                          "anything simulates"),
+    "machine": Param(str, "machine backend: vax780 (default, the "
+                          "paper's machine) or uvax78032 (MicroVAX "
+                          "subset VAX); see 'repro machines'; validated "
+                          "before anything simulates"),
+    "paranoid": Param(bool, "sample conservation-invariant checks "
+                            "during the run (passive; forces --jobs 1)"),
+    "workloads": Param(None, "run these registered workloads instead of "
+                             "the paper's five ('all' = every generator "
+                             "workload the machine supports; see "
+                             "'repro workloads')",
+                       cli={"type": _workload_list, "metavar": "A,B,..."}),
+}
+_INSTRUCTIONS = Param(int, "measured instructions per workload (default "
+                           f"{DEFAULT_INSTRUCTIONS}; --smoke: "
+                           f"{SMOKE_INSTRUCTIONS})")
+
+
+def _command(name: str, resolve=None, /, **params):
+    """Declare the decorated facade function as command ``name``.
+
+    ``params`` declares the command's own parameters; any other
+    signature parameter named in :data:`SHARED_PARAMS` takes the shared
+    declaration, and the rest (callbacks) stay off the command line
+    and the wire.  The subcommand's help is the docstring's first line.
+    """
+    from inspect import signature
+
+    def declare(func):
+        sig = signature(func).parameters
+        declared = {key: params.get(key) or SHARED_PARAMS[key]
+                    for key in sig
+                    if key in params or key in SHARED_PARAMS}
+        COMMANDS[name] = Command(
+            help=func.__doc__.split("\n")[0], params=declared,
+            defaults={key: sig[key].default for key in declared},
+            resolve=resolve)
+        return func
+
+    return declare
 
 
 def _attachment(**kwargs):
@@ -222,12 +360,6 @@ def _span(command: str, **fields_):
              seconds=round(time.monotonic() - started, 6))
 
 
-def _budget(instructions, smoke: bool) -> int:
-    if instructions is not None:
-        return instructions
-    return SMOKE_INSTRUCTIONS if smoke else DEFAULT_INSTRUCTIONS
-
-
 # -- characterize -------------------------------------------------------
 
 
@@ -249,16 +381,29 @@ class CharacterizeResult(_Result):
     measurement: object = _attachment(default=None)
 
 
+def _characterize_args(args: dict) -> dict:
+    engine = _engine(args["engine"])
+    machine = _machine(args["machine"])
+    names = _workload_names(args["workloads"], machine)
+    return {"instructions": _budget(args["instructions"], args["smoke"]),
+            "seed": args["seed"], "jobs": args["jobs"],
+            "paranoid": args["paranoid"], "table": _tables(args["table"]),
+            "engine": engine, "machine": machine, "workloads": names}
+
+
+@_command("characterize", _characterize_args,
+          instructions=_INSTRUCTIONS,
+          table=Param(None, "which table: 1-9, s4, or 'all'"))
 def characterize(instructions: int = None, seed: int = 1984,
                  jobs: int = 1, paranoid: bool = False,
                  table="all", smoke: bool = False,
                  engine: str = None, machine: str = None,
                  workloads=None) -> CharacterizeResult:
-    """Run a measurement campaign and compute the paper's tables.
+    """Run a workload composite and compute the paper's tables.
 
     The default campaign is the paper's: the five-workload composite,
     bit-identical to what this call has always produced.  ``workloads``
-    widens or narrows it — an iterable of registered names (or unique
+    widens or narrows it — a list of registered names (or unique
     suffixes), or ``"all"`` for every generator workload the chosen
     machine supports (see ``repro workloads``).
 
@@ -267,39 +412,26 @@ def characterize(instructions: int = None, seed: int = 1984,
     :class:`ApiError` before the (expensive) composite run, as do an
     unknown ``engine`` (scalar, batch, or auto; results are
     bit-identical, see :mod:`repro.batch`), an unknown ``machine``
-    (a registered backend, see :mod:`repro.machines`), and an unknown
-    or machine-refused workload.
+    (a registered backend, see :mod:`repro.machines`), and an unknown,
+    machine-refused or empty workload selection.
     """
-    engine_name = _engine(engine)
-    machine_name = _machine(machine)
-    names = _workload_names(workloads, machine_name)
-    if table in ("all", None):
-        keys = list(TABLES)
-    elif isinstance(table, str):
-        keys = [table]
-    else:
-        keys = [str(key) for key in table]
-    for key in keys:
-        if key not in TABLES:
-            raise ApiError(f"unknown table {key!r}; choose from "
-                           f"{', '.join(TABLES)}")
-    instructions = _budget(instructions, smoke)
+    args = _characterize_args(locals())
+    instructions = args["instructions"]
     with _span("characterize", instructions=instructions, seed=seed,
-               jobs=jobs, engine=engine_name, machine=machine_name):
+               jobs=jobs, engine=args["engine"], machine=args["machine"]):
         measurement = _engines.standard_composite(
             instructions=instructions, seed=seed, jobs=jobs,
-            paranoid=paranoid, engine=engine_name,
-            machine=machine_name, workloads=names)
+            paranoid=paranoid, engine=args["engine"],
+            machine=args["machine"], workloads=args["workloads"])
         rendered = tuple(
             {"table": key,
              "text": TABLES[key][1](TABLES[key][0](measurement))}
-            for key in keys)
+            for key in args["table"])
         summary = table8(measurement)
     return CharacterizeResult(
         instructions=instructions, seed=seed, jobs=jobs,
-        paranoid=paranoid, engine=engine_name, machine=machine_name,
-        workloads=(names if names is not None
-                   else _registry.paper_workload_names()),
+        paranoid=paranoid, engine=args["engine"],
+        machine=args["machine"], workloads=args["workloads"],
         cycles=measurement.cycles,
         instructions_measured=summary.instructions,
         cycles_per_instruction=summary.cycles_per_instruction,
@@ -332,56 +464,58 @@ class WorkloadResult(_Result):
         return self.profile
 
 
-def _find_profile(profile):
-    """Deprecated: resolve a loose spelling to a registered profile."""
-    warnings.warn(
-        "repro.api._find_profile is deprecated; use "
-        "repro.workloads.registry.find_workload",
-        DeprecationWarning, stacklevel=2)
-    spec = _registry.find_workload(profile)
-    return None if spec is None else spec.profile
+def _run_workload_args(args: dict) -> dict:
+    if args["workload"] is None:
+        raise ApiError("field 'workload' is required")
+    machine = _machine(args["machine"])
+    spec = _workload(args["workload"], machine)
+    instructions, seed = args["instructions"], args["seed"]
+    if spec.trace is not None:
+        # Replay is pinned to its recording: an omitted budget or the
+        # default seed means the recorded values.
+        if instructions is None and not args["smoke"]:
+            instructions = spec.trace.instructions
+        if seed == 1984:
+            seed = spec.trace.seed
+    return {"workload": spec.name,
+            "instructions": _budget(instructions, args["smoke"]),
+            "seed": seed, "paranoid": args["paranoid"],
+            "machine": machine}
 
 
+@_command("run-workload", _run_workload_args,
+          workload=Param(str, "workload name (see 'repro workloads'), "
+                              "or trace:PATH for a recorded trace file",
+                         flag=""),
+          instructions=_INSTRUCTIONS)
 def run_workload(workload=None, instructions: int = None,
                  seed: int = 1984, paranoid: bool = False,
-                 smoke: bool = False, machine: str = None,
-                 profile=None) -> WorkloadResult:
+                 smoke: bool = False,
+                 machine: str = None) -> WorkloadResult:
     """Run one registered workload (by name, suffix, or trace:PATH).
 
-    ``profile`` is the parameter's deprecated former name.  For a
-    trace-backed workload the recorded budget and seed are implied
-    when not given explicitly (and enforced when they are — replay is
-    pinned to its recording).
+    For a trace-backed workload the recorded budget and seed are
+    implied when not given explicitly (and enforced when they are —
+    replay is pinned to its recording).
     """
-    if profile is not None:
-        warnings.warn(
-            "run_workload(profile=...) is deprecated; use "
-            "run_workload(workload=...)", DeprecationWarning,
-            stacklevel=2)
-        if workload is None:
-            workload = profile
-    machine_name = _machine(machine)
-    resolved = _workload(workload, machine_name)
-    if resolved.trace is not None:
-        if instructions is None and not smoke:
-            instructions = resolved.trace.instructions
-        seed = resolved.trace.seed if seed == 1984 else seed
-    instructions = _budget(instructions, smoke)
-    with _span("run-workload", profile=resolved.name,
+    args = _run_workload_args(locals())
+    spec = _registry.get_workload(args["workload"])
+    instructions, seed = args["instructions"], args["seed"]
+    with _span("run-workload", profile=spec.name,
                instructions=instructions, seed=seed,
-               machine=machine_name):
+               machine=args["machine"]):
         try:
             measurement = _engines.run_workload(
-                resolved.name, instructions, seed=seed,
-                paranoid=paranoid, machine=machine_name)
+                spec.name, instructions, seed=seed,
+                paranoid=paranoid, machine=args["machine"])
         except _registry.WorkloadError as exc:
             raise ApiError(str(exc)) from exc
         summary = table8(measurement)
         table1_text = render_table1(table1(measurement))
     return WorkloadResult(
-        profile=resolved.name, description=resolved.description,
+        profile=spec.name, description=spec.description,
         instructions=instructions, seed=seed, paranoid=paranoid,
-        machine=machine_name, kind=resolved.kind,
+        machine=args["machine"], kind=spec.kind,
         cycles=measurement.cycles,
         instructions_measured=summary.instructions,
         cycles_per_instruction=summary.cycles_per_instruction,
@@ -403,6 +537,10 @@ class HotspotsResult(_Result):
     measurement: object = _attachment(default=None)
 
 
+@_command("hotspots",
+          instructions=Param(int, "measured instructions of the "
+                                  "reference run"),
+          top=Param(int, "how many locations to list"))
 def hotspots(instructions: int = 20_000, top: int = 20,
              seed: int = 1984, smoke: bool = False) -> HotspotsResult:
     """Rank control-store locations by cycles on the reference workload."""
@@ -444,6 +582,11 @@ class DisasmResult(_Result):
     lines: tuple
 
 
+@_command("disasm",
+          source=Param(str, "VAX MACRO source file", flag="",
+                       cli={"type": _read_source}),
+          base=Param(int, "assembly base address",
+                     cli={"type": _address}))
 def disasm(source: str, base: int = 0x200) -> DisasmResult:
     """Assemble VAX MACRO source text and return its listing lines."""
     from repro.arch.disasm import disassemble_image
@@ -462,6 +605,7 @@ class Figure1Result(_Result):
     text: str
 
 
+@_command("figure1")
 def figure1() -> Figure1Result:
     """Render the block diagram from the machine model."""
     from repro.cpu.machine import VAX780
@@ -478,6 +622,7 @@ class ProfilesResult(_Result):
     profiles: tuple  #: ({"name", "description"}, ...)
 
 
+@_command("profiles")
 def profiles() -> ProfilesResult:
     """List the paper's five workload profiles.
 
@@ -497,12 +642,14 @@ class WorkloadsResult(_Result):
     workloads: tuple  #: ({"name", "kind", ..., "supported": {...}}, ...)
 
 
+@_command("workloads")
 def workloads() -> WorkloadsResult:
-    """List the workload registry (see :mod:`repro.workloads.registry`).
+    """List the workload registry: name, class, and per-machine support.
 
     Each entry reports the workload's name, kind (paper / generator /
     trace), generator class, required executor families, and — per
-    registered machine — whether that machine runs it.
+    registered machine — whether that machine runs it (see
+    :mod:`repro.workloads.registry`).
     """
     from repro.machines import MACHINES
 
@@ -540,12 +687,23 @@ class TraceResult(_Result):
     measurement: object = _attachment(default=None)
 
 
+@_command("record-trace",
+          workload=Param(str, "source workload to record "
+                              "(see 'repro workloads')", flag=""),
+          path=Param(str, "trace file to write (default: "
+                          "<workload>.rprt)", flag="--out",
+                     cli={"metavar": "PATH"}),
+          instructions=_INSTRUCTIONS,
+          name=Param(str, "registry name for the trace workload "
+                          "(default: trace-<workload>)"),
+          register=Param(bool, "write the file without registering the "
+                               "trace as a workload"))
 def record_trace(workload=None, path: str = None,
                  instructions: int = None, seed: int = 1984,
                  machine: str = None, name: str = None,
                  smoke: bool = False,
                  register: bool = True) -> TraceResult:
-    """Record a workload run to a trace file (and register it).
+    """Record one workload run to a replayable trace file.
 
     The recording run is bit-identical to an ordinary
     :func:`run_workload` of the source workload (the recorder is a
@@ -595,8 +753,9 @@ class MachinesResult(_Result):
     machines: tuple  #: ({"name", "description", "default", ...}, ...)
 
 
+@_command("machines")
 def machines() -> MachinesResult:
-    """List the registered machine backends (see :mod:`repro.machines`)."""
+    """List the registered machine backends (see repro.machines)."""
     from repro.machines import DEFAULT_MACHINE, MACHINES
 
     return MachinesResult(machines=tuple(
@@ -625,28 +784,53 @@ class UbenchResult(_Result):
     check: object = _attachment(default=None)
 
 
+def _kernels(group, mode, variant, smoke, machine) -> list:
+    """The selected kernels; an empty selection is an error."""
+    from repro.ubench import suite
+
+    kernels = suite.select(group=group, mode=mode, variant=variant,
+                           smoke=smoke, machine=machine)
+    if not kernels:
+        raise ApiError(
+            f"no kernels match group={group!r} mode={mode!r} "
+            f"variant={variant!r} on machine {machine!r}; groups: "
+            f"{', '.join(suite.groups())}; modes: "
+            f"{', '.join(suite.modes())}")
+    return kernels
+
+
+def _ubench_args(args: dict) -> dict:
+    machine = _machine(args["machine"])
+    _kernels(args["group"], args["mode"], args["variant"], args["smoke"],
+             machine)
+    return {**args, "machine": machine}
+
+
+@_command("ubench", _ubench_args,
+          group=Param(str, "only kernels of one opcode group (simple, "
+                           "field, float, callret, system, character, "
+                           "decimal)"),
+          mode=Param(str, "only kernels of one operand-specifier mode "
+                          "(e.g. register, immediate, displacement-byte)"),
+          variant=Param(str, "only warm or cold cache/TB kernels"),
+          check=Param(bool, "skip the composite consistency pass"),
+          check_instructions=Param(int, "instructions per workload for "
+                                        "the consistency composite"))
 def ubench(group: str = None, mode: str = None, variant: str = None,
            smoke: bool = False, jobs: int = 1, check: bool = True,
            check_instructions: int = 20_000, seed: int = 1984,
            machine: str = None) -> UbenchResult:
-    """Run the microbenchmark kernels and confront them with the model.
+    """Run the microbenchmark sweep: measured vs. analytical cycles.
 
     ``machine`` selects the backend the kernels run on; the suite is
     filtered to the families that machine implements, and the model
     predicts with that machine's params (patch set, per-group extra
     cycles), so exactness holds on every backend.
     """
-    from repro.ubench import runner, suite
+    from repro.ubench import runner
 
     machine_name = _machine(machine)
-    kernels = suite.select(group=group, mode=mode, variant=variant,
-                           smoke=smoke, machine=machine_name)
-    if not kernels:
-        raise ApiError(
-            f"no kernels match group={group!r} mode={mode!r} "
-            f"variant={variant!r} on machine {machine_name!r}; groups: "
-            f"{', '.join(suite.groups())}; modes: "
-            f"{', '.join(suite.modes())}")
+    kernels = _kernels(group, mode, variant, smoke, machine_name)
     with _span("ubench", kernels=len(kernels), jobs=jobs,
                machine=machine_name):
         results = runner.run_suite(kernels, jobs=jobs,
@@ -720,6 +904,10 @@ def explore_spec(spec: str = "paper-sensitivity", axes=(),
     from repro.explore import SPECS, SpaceError, parse_axis
     from repro.explore.space import WORKLOAD_AXIS
 
+    if not isinstance(axes, (list, tuple)):
+        raise ApiError(
+            "explore: field 'axes' must be a list of NAME=V1,V2 "
+            f"strings, got {axes!r}")
     machine_name = _machine(machine)
     parsed = []
     sweep_workloads = None
@@ -785,6 +973,34 @@ def explore_points(spec: str = "paper-sensitivity", axes=(),
                                points=tuple(listing))
 
 
+def _explore_args(args: dict) -> dict:
+    resolved = explore_spec(args["spec"], args["axes"], args["mode"],
+                            args["instructions"], args["seed"],
+                            args["smoke"], machine=args["machine"])
+    return {"spec": resolved.name,
+            "axes": [[axis.name, list(axis.values)]
+                     for axis in resolved.axes],
+            "mode": resolved.mode,
+            "workloads": list(resolved.workloads),
+            "instructions": resolved.instructions,
+            "seed": resolved.seed, "jobs": args["jobs"],
+            "engine": _engine(args["engine"]),
+            "machine": resolved.machine}
+
+
+@_command("explore", _explore_args,
+          spec=Param(str, "named sweep spec (paper-sensitivity, smoke)"),
+          axes=Param(None, "sweep axis (repeatable); replaces the "
+                           "spec's axes", flag="--axis",
+                     cli={"action": "append",
+                          "metavar": "NAME=V1,V2,..."}),
+          mode=Param(str, "point enumeration: ofat (one factor at a "
+                          "time) or cartesian (the full grid); default: "
+                          "the spec's"),
+          instructions=Param(int, "measured instructions per workload "
+                                  "(default: the spec's)"),
+          resume=Param(bool, "re-simulate every point (the store is "
+                             "still updated)"))
 def explore(spec: str = "paper-sensitivity", axes=(), mode: str = None,
             instructions: int = None, seed: int = None,
             smoke: bool = False, store=".explore/store",
@@ -846,6 +1062,37 @@ class ValidateResult(_Result):
     fuzz_results: tuple = _attachment(default=())
 
 
+def _validate_args(args: dict) -> dict:
+    from repro.machines import DEFAULT_MACHINE
+
+    engine = _engine(args["engine"], choices=("scalar", "batch"))
+    machine = _machine(args["machine"])
+    names = _workload_names(args["workloads"], machine)
+    if machine != DEFAULT_MACHINE and args["fuzz_cases"]:
+        raise ApiError(
+            f"differential fuzzing validates the {DEFAULT_MACHINE} "
+            f"engines; drop fuzz_cases (--fuzz) to validate machine "
+            f"{machine!r}")
+    fuzz_instructions = args["fuzz_instructions"]
+    if args["smoke"]:
+        fuzz_instructions = min(fuzz_instructions, 200)
+    return {"instructions": _budget(args["instructions"], args["smoke"],
+                                    20_000),
+            "fuzz_cases": args["fuzz_cases"],
+            "fuzz_instructions": fuzz_instructions,
+            "seed": args["seed"], "smoke": args["smoke"],
+            "engine": engine, "machine": machine, "workloads": names}
+
+
+@_command("validate", _validate_args,
+          instructions=Param(int, "measured instructions per workload "
+                                  "for the invariant pass (default "
+                                  f"20000; --smoke: {SMOKE_INSTRUCTIONS})"),
+          fuzz_cases=Param(int, "differential fuzz cases to run "
+                                "(0 = invariants only)", flag="--fuzz",
+                           cli={"metavar": "N"}),
+          fuzz_instructions=Param(int, "measured instructions per fuzz "
+                                       "case"))
 def validate(instructions: int = None, fuzz_cases: int = 0,
              fuzz_instructions: int = 400, seed: int = 1984,
              smoke: bool = False, progress=None, jobs: int = 1,
@@ -869,23 +1116,12 @@ def validate(instructions: int = None, fuzz_cases: int = 0,
     ``jobs`` parallelises the fuzz cases; the results (and every shrunk
     reproducer) are byte-identical at any value.
     """
-    from repro.machines import DEFAULT_MACHINE
+    args = _validate_args(locals())
     from repro.validate import check_measurement, fuzz, fuzz_batch
 
-    engine_name = _engine(engine, choices=("scalar", "batch"))
-    machine_name = _machine(machine)
-    names = _workload_names(workloads, machine_name)
-    if names is None:
-        names = _registry.paper_workload_names()
-    if machine_name != DEFAULT_MACHINE and fuzz_cases:
-        raise ApiError(
-            f"differential fuzzing validates the {DEFAULT_MACHINE} "
-            f"engines; drop --fuzz to validate machine "
-            f"{machine_name!r}")
-    if instructions is None:
-        instructions = SMOKE_INSTRUCTIONS if smoke else 20_000
-    if smoke:
-        fuzz_instructions = min(fuzz_instructions, 200)
+    instructions = args["instructions"]
+    fuzz_instructions = args["fuzz_instructions"]
+    engine_name, machine_name = args["engine"], args["machine"]
     fuzzer = fuzz_batch if engine_name == "batch" else fuzz
     with _span("validate", instructions=instructions,
                fuzz_cases=fuzz_cases, engine=engine_name,
@@ -894,7 +1130,7 @@ def validate(instructions: int = None, fuzz_cases: int = 0,
             check_measurement(_engines.run_workload(
                 name, instructions, seed=seed,
                 machine=machine_name), machine=machine_name)
-            for name in names)
+            for name in args["workloads"])
         fuzz_results = tuple(
             fuzzer(fuzz_cases, seed=seed,
                    instructions=fuzz_instructions,
@@ -932,21 +1168,31 @@ class RefuteResult(_Result):
     planted: object = _attachment(default=None)
 
 
+@_command("refute",
+          campaign=Param(str, "named campaign: standard (default) or "
+                              "smoke (--smoke is shorthand)"),
+          plant=Param(str, "install one named perturbation for the "
+                           "campaign (the run must then catch it); see "
+                           "repro.refute.perturbation_names()",
+                      cli={"metavar": "NAME"}),
+          self_check=Param(bool, "skip the planted-bug self-check that "
+                                 "normally follows a clean campaign"))
 def refute(campaign: str = None, smoke: bool = False, seed: int = None,
            jobs: int = 1, store=".explore/store",
            self_check: bool = True, plant: str = None,
            progress=None) -> RefuteResult:
-    """Run an assumption-refutation campaign (see :mod:`repro.refute`).
+    """Run an assumption-refutation campaign (REFUTATIONS.json).
 
     ``campaign`` names a registered campaign (``standard`` or
-    ``smoke``; ``smoke=True`` is shorthand for the latter).  A clean
-    run also executes the planted-bug ``self_check`` — the smoke
-    campaign once per registered perturbation, every one of which must
-    be detected — so "zero refutations" is evidence, not silence.
-    ``plant`` installs one named perturbation for the campaign itself
-    (the self-check is then skipped, and ``ok`` means the plant *was*
-    caught by the assumptions that must see it).  Probes, reproducers
-    and the JSON document are byte-identical at any ``jobs``.
+    ``smoke``; ``smoke=True`` is shorthand for the latter; see
+    :mod:`repro.refute`).  A clean run also executes the planted-bug
+    ``self_check`` — the smoke campaign once per registered
+    perturbation, every one of which must be detected — so "zero
+    refutations" is evidence, not silence.  ``plant`` installs one
+    named perturbation for the campaign itself (the self-check is then
+    skipped, and ``ok`` means the plant *was* caught by the assumptions
+    that must see it).  Probes, reproducers and the JSON document are
+    byte-identical at any ``jobs``.
     """
     from repro.refute import (CAMPAIGNS, PERTURBATIONS, run_campaign,
                               run_self_check)

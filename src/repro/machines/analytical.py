@@ -255,51 +255,41 @@ def _reduction(measurement):
     return Reduction(measurement.histogram)
 
 
-def _profile(profile):
+def _generator_spec(workload: str):
     from repro.workloads.registry import WorkloadError, get_workload
 
-    if not isinstance(profile, str):
-        return profile
     try:
-        spec = get_workload(profile)
+        spec = get_workload(workload)
     except WorkloadError:
         raise AnalyticalError(
-            f"unknown workload profile {profile!r}") from None
+            f"unknown workload profile {workload!r}") from None
     if spec.trace is not None:
         raise AnalyticalError(
-            f"workload {profile!r} is trace-backed; the analytical "
+            f"workload {workload!r} is trace-backed; the analytical "
             "tier calibrates generator profiles only (its anchor runs "
             "need budgets the recording does not carry)")
-    return spec.profile
+    return spec
 
 
-def calibrate(profile, machine: str = None,
+def calibrate(profile: str, machine: str = None,
               anchors: tuple = CALIBRATION_ANCHORS,
               seed: int = 1984) -> WorkloadMix:
     """Fit a :class:`WorkloadMix` from simulator runs at the anchors.
 
-    ``profile`` is a :class:`~repro.workloads.profiles.MixProfile` (or
-    a standard profile's name); the anchor runs go through the
-    memoised workload engine, so repeated calibrations — and anything
-    else at those budgets — are free after the first.
+    ``profile`` names a registered generator workload; the anchor runs
+    go through the memoised workload engine, so repeated calibrations —
+    and anything else at those budgets — are free after the first.
     """
     from repro.workloads import engine as _engines
-    from repro.workloads.registry import WORKLOADS
 
-    profile = _profile(profile)
+    name = _generator_spec(profile).name
     machine = get_machine(machine).name
     anchors = tuple(sorted(anchors))
     if not anchors or anchors[0] <= 0 or len(set(anchors)) < 2:
         raise AnalyticalError(
             f"calibration needs at least two distinct positive anchor "
             f"budgets, got {anchors!r}")
-    # Registered profiles run by name (the registry is the front door
-    # now); ad-hoc MixProfiles — fuzz variants, explore perturbations —
-    # still pass through as objects.
-    spec = WORKLOADS.get(profile.name)
-    workload = profile.name if spec is not None \
-        and spec.profile is profile else profile
-    reds = [_reduction(_engines.run_workload(workload, n, seed=seed,
+    reds = [_reduction(_engines.run_workload(name, n, seed=seed,
                                              machine=machine))
             for n in anchors]
     keys = sorted({key for red in reds for key in red.cells
@@ -316,7 +306,7 @@ def calibrate(profile, machine: str = None,
         for group in sorted(last.group_instructions,
                             key=lambda g: g.name)
         if last.group_instructions[group])
-    return WorkloadMix(profile.name, machine, anchors, cells, group_mix)
+    return WorkloadMix(name, machine, anchors, cells, group_mix)
 
 
 def kernel_mix(kernel, machine: str = None) -> WorkloadMix:
@@ -356,10 +346,10 @@ def check_estimate(mix: WorkloadMix, instructions: int,
     """
     from repro.workloads import engine as _engines
 
-    profile = _profile(mix.workload)
     estimate = mix.estimate(instructions)
     red = _reduction(_engines.run_workload(
-        profile, instructions, seed=seed, machine=mix.machine))
+        _generator_spec(mix.workload).name, instructions, seed=seed,
+        machine=mix.machine))
     sim_cpi = red.cycles_per_instruction()
     rel_err = abs(estimate.cpi - sim_cpi) / sim_cpi if sim_cpi else 0.0
     return {

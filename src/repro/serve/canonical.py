@@ -1,18 +1,24 @@
 """Request canonicalization: one content-address per distinct job.
 
-Every submission is parsed into a frozen request dataclass mirroring
-the corresponding :mod:`repro.api` function's signature (defaults
-included), validated up front with :class:`~repro.api.ApiError`
-messages, and *resolved*: ``smoke`` collapses into the budget it
-implies, ``table``/``profile``/``spec`` shorthands expand to their full
-forms, an omitted ``engine`` becomes ``"scalar"``.  Two payloads that
-differ only in field order, default-vs-explicit values, or shorthand
-spelling therefore canonicalize to the same dict — and the same
-:func:`request_key`, the serve analogue of the explore store's
+Every submission binds to the corresponding :mod:`repro.api` command
+declaration: its fields are the facade parameters (defaults included),
+their payload types come from the declaration, and the command's one
+canonicalizing step resolves them — ``smoke`` collapses into the
+budget it implies, ``table``/``workloads``/``spec`` shorthands expand
+to their full forms, an omitted ``engine`` becomes ``"scalar"`` — with
+the facade's own :class:`~repro.api.ApiError` checks.  Two payloads
+that differ only in field order, default-vs-explicit values, or
+shorthand spelling therefore canonicalize to the same dict — and the
+same :func:`request_key`, the serve analogue of the explore store's
 :func:`~repro.explore.store.result_key`: a sha256 over the canonical
 params plus the command, a serve schema number, and the simulator's
 code-version digest (so a simulator change invalidates every cached
 service result exactly as it invalidates sweep records).
+
+What is serve's own: the ``{"command", "params"}`` envelope, the
+server's ``--engine``/``--machine`` defaults, and the remote-input
+policy — no server-local paths (``store``, ``trace:`` references) and
+no trace workloads in composites.
 
 The key deliberately includes every field that shapes the *result
 document* — ``jobs`` and ``engine`` are execution knobs with
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro import api
 from repro.explore.store import code_version
@@ -35,427 +41,119 @@ from repro.explore.store import code_version
 #: 2: every request carries the machine backend name (default vax780),
 #:    so results from different machines can never share a key.
 #: 3: workloads resolve through the workload registry — run-workload
-#:    canonicalizes to a ``workload`` name (``profile`` is a deprecated
-#:    alias), and characterize/validate carry their resolved workload
-#:    name lists — so requests over different workload sets can never
-#:    share a key.
+#:    canonicalizes to a ``workload`` name, and characterize/validate
+#:    carry their resolved workload name lists — so requests over
+#:    different workload sets can never share a key.
 SERVE_SCHEMA = 3
 
-
-def _expect(request, name, value, kinds, none_ok=False):
-    if value is None and none_ok:
-        return
-    if isinstance(value, bool) and bool not in (
-            kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise api.ApiError(
-            f"{request.command}: field {name!r} must be "
-            f"{_kind_names(kinds)}, got {value!r}")
-    if not isinstance(value, kinds):
-        raise api.ApiError(
-            f"{request.command}: field {name!r} must be "
-            f"{_kind_names(kinds)}, got {value!r}")
-
-
-def _kind_names(kinds) -> str:
-    if not isinstance(kinds, tuple):
-        kinds = (kinds,)
-    return "/".join(k.__name__ for k in kinds)
+#: served command -> facade parameters a remote client may not set.
+_LOCAL = {"characterize": (), "run-workload": (), "ubench": (),
+          "explore": ("store", "resume"), "validate": ("jobs",)}
 
 
 @dataclass(frozen=True)
 class ServeRequest:
-    """Base: payload parsing, canonical dict, execution kwargs."""
+    """One bound submission: a served command and its full params."""
 
-    @classmethod
-    def from_payload(cls, payload) -> "ServeRequest":
-        """Build a request from a JSON params dict, strictly.
-
-        Unknown fields raise :class:`~repro.api.ApiError` listing the
-        valid ones — the same up-front rejection contract as the
-        facade's ``--table``/axis validation.
-        """
-        if payload is None:
-            payload = {}
-        if not isinstance(payload, dict):
-            raise api.ApiError(
-                f"{cls.command}: params must be a JSON object, got "
-                f"{type(payload).__name__}")
-        names = [spec.name for spec in fields(cls)]
-        unknown = sorted(set(payload) - set(names))
-        if unknown:
-            raise api.ApiError(
-                f"{cls.command}: unknown field(s) "
-                f"{', '.join(unknown)}; valid fields: "
-                f"{', '.join(names)}")
-        try:
-            request = cls(**payload)
-        except TypeError as exc:
-            raise api.ApiError(f"{cls.command}: {exc}") from exc
-        request.canonical()     # validate eagerly, before any queueing
-        return request
+    command: str
+    params: dict
 
     def canonical(self) -> dict:
-        raise NotImplementedError
+        """The resolved params — what the request key hashes."""
+        spellings = self.params.get("workloads")
+        if not isinstance(spellings, (list, tuple)):
+            spellings = [spellings]
+        for value in (self.params.get("workload"), *spellings):
+            if isinstance(value, str) and value.startswith("trace:"):
+                # Resolving one would read (and register) a
+                # server-local file on behalf of a remote client.
+                raise api.ApiError(
+                    "trace:PATH references are not accepted over the "
+                    "job server; register the trace in the server "
+                    "process and submit its workload name")
+        canonical = api.COMMANDS[self.command].canonical(self.params)
+        if "workloads" in self.params:
+            from repro.workloads.registry import WORKLOADS
+
+            for name in canonical["workloads"]:
+                if WORKLOADS[name].trace is not None:
+                    raise api.ApiError(
+                        f"trace workload {name!r} cannot join a "
+                        "composite; run it via run-workload")
+        return canonical
 
     def exec_kwargs(self) -> dict:
         """Keyword arguments for the facade call this request maps to."""
-        raise NotImplementedError
+        return dict(self.params)
 
     def fusion_group(self):
-        """A grouping label for co-queued jobs that may fuse, or None."""
-        return None
-
-
-@dataclass(frozen=True)
-class CharacterizeRequest(ServeRequest):
-    command = "characterize"
-    instructions: object = None
-    seed: int = 1984
-    jobs: int = 1
-    paranoid: bool = False
-    table: object = "all"
-    smoke: bool = False
-    engine: object = None
-    machine: object = None
-    workloads: object = None
-
-    def canonical(self) -> dict:
-        _expect(self, "instructions", self.instructions, int,
-                none_ok=True)
-        _expect(self, "seed", self.seed, int)
-        _expect(self, "jobs", self.jobs, int)
-        _expect(self, "paranoid", self.paranoid, bool)
-        _expect(self, "smoke", self.smoke, bool)
-        _expect(self, "machine", self.machine, str, none_ok=True)
-        engine = _engine(self.engine)
-        machine = _machine(self.machine)
-        names = _workload_names(self.workloads, machine)
-        if self.table in ("all", None):
-            keys = list(api.TABLES)
-        elif isinstance(self.table, str):
-            keys = [self.table]
-        else:
-            keys = [str(key) for key in self.table]
-        for key in keys:
-            if key not in api.TABLES:
-                raise api.ApiError(
-                    f"unknown table {key!r}; choose from "
-                    f"{', '.join(api.TABLES)}")
-        return {"instructions": _budget(self.instructions, self.smoke),
-                "seed": self.seed, "jobs": self.jobs,
-                "paranoid": self.paranoid, "table": keys,
-                "engine": engine, "machine": machine,
-                "workloads": list(names)}
-
-    def exec_kwargs(self) -> dict:
-        canonical = self.canonical()
-        canonical["table"] = tuple(canonical["table"])
-        canonical["workloads"] = tuple(canonical["workloads"])
-        return canonical
-
-    def fusion_group(self):
-        """Auto-engine jobs differing only in budget share a group.
+        """Auto-engine characterize jobs differing only in budget.
 
         The dispatcher runs one group as a single worker task: the
         budgets become fused lanes of one lockstep batch run (see
         :func:`repro.serve.workers.prefuse_characterize`).
         """
-        canonical = self.canonical()
-        if canonical["engine"] != "auto":
+        if self.command != "characterize":
             return None
+        canonical = self.canonical()
         from repro.machines import DEFAULT_MACHINE
 
-        if canonical["machine"] != DEFAULT_MACHINE:
+        if canonical["engine"] != "auto" \
+                or canonical["machine"] != DEFAULT_MACHINE:
             return None         # the lockstep batch engine is 780-only
         del canonical["instructions"]
         return f"{self.command}:" + json.dumps(canonical, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class RunWorkloadRequest(ServeRequest):
-    command = "run-workload"
-    workload: str = None
-    instructions: object = None
-    seed: int = 1984
-    paranoid: bool = False
-    smoke: bool = False
-    machine: object = None
-    #: Deprecated alias of ``workload`` (pre-registry payloads).
-    profile: str = None
+class ServedCommand:
+    """One command of the service's public surface."""
 
-    def canonical(self) -> dict:
-        _expect(self, "workload", self.workload, str, none_ok=True)
-        _expect(self, "profile", self.profile, str, none_ok=True)
-        _expect(self, "instructions", self.instructions, int,
-                none_ok=True)
-        _expect(self, "seed", self.seed, int)
-        _expect(self, "paranoid", self.paranoid, bool)
-        _expect(self, "smoke", self.smoke, bool)
-        _expect(self, "machine", self.machine, str, none_ok=True)
-        wanted = self.workload if self.workload is not None \
-            else self.profile
-        if wanted is None:
+    def __init__(self, command: str) -> None:
+        self.command = command
+        declaration = api.COMMANDS[command]
+        self.fields = tuple(name for name in declaration.params
+                            if name not in _LOCAL[command])
+
+    def from_payload(self, payload) -> ServeRequest:
+        """Bind a JSON params dict to the command, strictly.
+
+        Unknown fields and wrongly typed values raise
+        :class:`~repro.api.ApiError` listing the valid fields — the same
+        up-front rejection contract as the facade's own checks, which
+        run next: the request is canonicalized before any queueing.
+        """
+        if payload is None:
+            payload = {}
+        if not isinstance(payload, dict):
             raise api.ApiError(
-                f"{self.command}: field 'workload' is required")
-        if self.workload is not None and self.profile is not None \
-                and self.workload != self.profile:
+                f"{self.command}: params must be a JSON object, got "
+                f"{type(payload).__name__}")
+        unknown = sorted(set(payload) - set(self.fields))
+        if unknown:
             raise api.ApiError(
-                f"{self.command}: 'workload' and 'profile' (its "
-                f"deprecated alias) disagree: {self.workload!r} vs "
-                f"{self.profile!r}")
-        machine = _machine(self.machine)
-        resolved = _resolve_workload(wanted, machine)
-        instructions = self.instructions
-        seed = self.seed
-        if resolved.trace is not None:
-            # Replay is pinned to its recording: an omitted budget or
-            # default seed canonicalizes to the recorded values.
-            if instructions is None and not self.smoke:
-                instructions = resolved.trace.instructions
-            if seed == 1984:
-                seed = resolved.trace.seed
-        return {"workload": resolved.name,
-                "instructions": _budget(instructions, self.smoke),
-                "seed": seed, "paranoid": self.paranoid,
-                "machine": machine}
-
-    def exec_kwargs(self) -> dict:
-        return self.canonical()
+                f"{self.command}: unknown field(s) "
+                f"{', '.join(unknown)}; valid fields: "
+                f"{', '.join(self.fields)}")
+        declaration = api.COMMANDS[self.command]
+        params = {name: payload.get(name, declaration.defaults[name])
+                  for name in self.fields}
+        for name, value in params.items():
+            kind = declaration.params[name].kind
+            if kind is None or value is None \
+                    and declaration.defaults[name] is None:
+                continue
+            if isinstance(value, bool) and kind is not bool \
+                    or not isinstance(value, kind):
+                raise api.ApiError(
+                    f"{self.command}: field {name!r} must be "
+                    f"{kind.__name__}, got {value!r}")
+        request = ServeRequest(self.command, params)
+        request.canonical()     # validate eagerly, before any queueing
+        return request
 
 
-@dataclass(frozen=True)
-class UbenchRequest(ServeRequest):
-    command = "ubench"
-    group: object = None
-    mode: object = None
-    variant: object = None
-    smoke: bool = False
-    jobs: int = 1
-    check: bool = True
-    check_instructions: int = 20_000
-    seed: int = 1984
-    machine: object = None
-
-    def canonical(self) -> dict:
-        from repro.ubench import suite
-
-        for name in ("group", "mode", "variant"):
-            _expect(self, name, getattr(self, name), str, none_ok=True)
-        _expect(self, "smoke", self.smoke, bool)
-        _expect(self, "jobs", self.jobs, int)
-        _expect(self, "check", self.check, bool)
-        _expect(self, "check_instructions", self.check_instructions, int)
-        _expect(self, "seed", self.seed, int)
-        _expect(self, "machine", self.machine, str, none_ok=True)
-        machine = _machine(self.machine)
-        kernels = suite.select(group=self.group, mode=self.mode,
-                               variant=self.variant, smoke=self.smoke,
-                               machine=machine)
-        if not kernels:
-            raise api.ApiError(
-                f"no kernels match group={self.group!r} "
-                f"mode={self.mode!r} variant={self.variant!r} on "
-                f"machine {machine!r}; groups: "
-                f"{', '.join(suite.groups())}; modes: "
-                f"{', '.join(suite.modes())}")
-        return {"group": self.group, "mode": self.mode,
-                "variant": self.variant, "smoke": self.smoke,
-                "jobs": self.jobs, "check": self.check,
-                "check_instructions": self.check_instructions,
-                "seed": self.seed, "machine": machine}
-
-    def exec_kwargs(self) -> dict:
-        return self.canonical()
-
-
-@dataclass(frozen=True)
-class ExploreRequest(ServeRequest):
-    command = "explore"
-    spec: str = "paper-sensitivity"
-    axes: tuple = ()
-    mode: object = None
-    instructions: object = None
-    seed: object = None
-    smoke: bool = False
-    jobs: int = 1
-    engine: object = None
-    machine: object = None
-
-    def _spec(self):
-        axes = self.axes
-        if isinstance(axes, str):
-            raise api.ApiError(
-                f"{self.command}: field 'axes' must be a list of "
-                f"NAME=V1,V2 strings, got {axes!r}")
-        return api.explore_spec(self.spec, tuple(axes), self.mode,
-                                self.instructions, self.seed, self.smoke,
-                                machine=self.machine)
-
-    def canonical(self) -> dict:
-        _expect(self, "spec", self.spec, str)
-        _expect(self, "mode", self.mode, str, none_ok=True)
-        _expect(self, "instructions", self.instructions, int,
-                none_ok=True)
-        _expect(self, "seed", self.seed, int, none_ok=True)
-        _expect(self, "smoke", self.smoke, bool)
-        _expect(self, "jobs", self.jobs, int)
-        _expect(self, "machine", self.machine, str, none_ok=True)
-        resolved = self._spec()
-        return {"spec": resolved.name,
-                "axes": [[axis.name, list(axis.values)]
-                         for axis in resolved.axes],
-                "mode": resolved.mode,
-                "workloads": list(resolved.workloads),
-                "instructions": resolved.instructions,
-                "seed": resolved.seed, "jobs": self.jobs,
-                "engine": _engine(self.engine),
-                "machine": resolved.machine}
-
-    def exec_kwargs(self) -> dict:
-        # The sweep spec re-resolves from the original arguments (the
-        # canonical spec name may be the synthetic "custom"); the
-        # server injects its own store at execution time.
-        return {"spec": self.spec, "axes": tuple(self.axes),
-                "mode": self.mode, "instructions": self.instructions,
-                "seed": self.seed, "smoke": self.smoke,
-                "jobs": self.jobs, "engine": _engine(self.engine),
-                "machine": self.machine}
-
-
-@dataclass(frozen=True)
-class ValidateRequest(ServeRequest):
-    command = "validate"
-    instructions: object = None
-    fuzz_cases: int = 0
-    fuzz_instructions: int = 400
-    seed: int = 1984
-    smoke: bool = False
-    engine: object = None
-    machine: object = None
-    workloads: object = None
-
-    def canonical(self) -> dict:
-        from repro.machines import DEFAULT_MACHINE
-
-        _expect(self, "instructions", self.instructions, int,
-                none_ok=True)
-        _expect(self, "fuzz_cases", self.fuzz_cases, int)
-        _expect(self, "fuzz_instructions", self.fuzz_instructions, int)
-        _expect(self, "seed", self.seed, int)
-        _expect(self, "smoke", self.smoke, bool)
-        _expect(self, "machine", self.machine, str, none_ok=True)
-        engine = _engine(self.engine, choices=("scalar", "batch"))
-        machine = _machine(self.machine)
-        names = _workload_names(self.workloads, machine)
-        if machine != DEFAULT_MACHINE and self.fuzz_cases:
-            raise api.ApiError(
-                f"differential fuzzing validates the {DEFAULT_MACHINE} "
-                f"engines; drop fuzz_cases to validate machine "
-                f"{machine!r}")
-        instructions = self.instructions
-        if instructions is None:
-            instructions = api.SMOKE_INSTRUCTIONS if self.smoke \
-                else 20_000
-        fuzz_instructions = self.fuzz_instructions
-        if self.smoke:
-            fuzz_instructions = min(fuzz_instructions, 200)
-        return {"instructions": instructions,
-                "fuzz_cases": self.fuzz_cases,
-                "fuzz_instructions": fuzz_instructions,
-                "seed": self.seed, "smoke": self.smoke,
-                "engine": engine, "machine": machine,
-                "workloads": list(names)}
-
-    def exec_kwargs(self) -> dict:
-        canonical = self.canonical()
-        canonical["workloads"] = tuple(canonical["workloads"])
-        return canonical
-
-
-#: command name -> request class, the service's public command surface.
-COMMANDS = {
-    cls.command: cls
-    for cls in (CharacterizeRequest, RunWorkloadRequest, UbenchRequest,
-                ExploreRequest, ValidateRequest)
-}
-
-
-def _budget(instructions, smoke: bool) -> int:
-    if instructions is not None:
-        return instructions
-    return api.SMOKE_INSTRUCTIONS if smoke else api.DEFAULT_INSTRUCTIONS
-
-
-def _engine(value, choices=None) -> str:
-    from repro.batch import ENGINES, validate_engine
-
-    try:
-        return validate_engine(value, choices or ENGINES)
-    except ValueError as exc:
-        raise api.ApiError(str(exc)) from exc
-
-
-def _machine(value) -> str:
-    from repro.machines import MachineError, validate_machine
-
-    try:
-        return validate_machine(value)
-    except MachineError as exc:
-        raise api.ApiError(str(exc)) from exc
-
-
-def _resolve_workload(value, machine: str):
-    """Resolve one workload spelling to its registered spec, strictly.
-
-    ``trace:PATH`` references are rejected: they would read (and
-    register) server-local files on behalf of a remote client.  A
-    trace already registered in the server process resolves by name
-    like any other workload.
-    """
-    if not isinstance(value, str):
-        raise api.ApiError(
-            f"workload names must be strings, got {value!r}")
-    if value.startswith("trace:"):
-        raise api.ApiError(
-            "trace:PATH references are not accepted over the job "
-            "server; register the trace in the server process and "
-            "submit its workload name")
-    return api._workload(value, machine)
-
-
-def _workload_names(value, machine: str) -> tuple:
-    """Resolve a composite's ``workloads`` field to registered names.
-
-    ``None`` canonicalizes to the paper's five (so an explicit
-    spelling of the default collapses to the same request key);
-    ``"all"`` to every generator workload the machine supports.
-    Trace-backed workloads are rejected — a replay is pinned to one
-    budget and cannot join an arbitrary composite.
-    """
-    from repro.workloads.registry import paper_workload_names
-
-    if value is None:
-        return paper_workload_names()
-    if value == "all":
-        return api._workload_names("all", machine)
-    if isinstance(value, str):
-        value = [value]
-    if not isinstance(value, (list, tuple)):
-        raise api.ApiError(
-            "field 'workloads' must be a list of workload names, "
-            f"a single name, or 'all'; got {value!r}")
-    names = []
-    for item in value:
-        spec = _resolve_workload(item, machine)
-        if spec.trace is not None:
-            raise api.ApiError(
-                f"trace workload {spec.name!r} cannot join a "
-                "composite; run it via run-workload")
-        if spec.name not in names:
-            names.append(spec.name)
-    if not names:
-        raise api.ApiError("field 'workloads' selects no workloads")
-    return tuple(names)
+#: command name -> served command, the service's public command surface.
+COMMANDS = {name: ServedCommand(name) for name in _LOCAL}
 
 
 def parse_request(doc, default_engine: str = None,
@@ -483,16 +181,14 @@ def parse_request(doc, default_engine: str = None,
         raise api.ApiError(
             f"unknown command {command!r}; choose from "
             f"{', '.join(sorted(COMMANDS))}")
-    cls = COMMANDS[command]
+    served = COMMANDS[command]
     params = doc.get("params") or {}
-    names = {spec.name for spec in fields(cls)}
-    if default_engine is not None and isinstance(params, dict) \
-            and "engine" in names and params.get("engine") is None:
-        params = {**params, "engine": default_engine}
-    if default_machine is not None and isinstance(params, dict) \
-            and "machine" in names and params.get("machine") is None:
-        params = {**params, "machine": default_machine}
-    return cls.from_payload(params)
+    for name, default in (("engine", default_engine),
+                          ("machine", default_machine)):
+        if default is not None and isinstance(params, dict) \
+                and name in served.fields and params.get(name) is None:
+            params = {**params, name: default}
+    return served.from_payload(params)
 
 
 def request_key(request: ServeRequest, code: str = None) -> str:

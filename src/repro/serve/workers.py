@@ -81,14 +81,13 @@ def prefuse_characterize(payloads) -> int:
     """
     from repro.batch import LaneSpec, run_lanes
     from repro.workloads import engine as _engines
-    from repro.workloads.registry import paper_workload_names
 
     lanes = []
     seen = set()
     for kwargs in payloads:
-        names = kwargs.get("workloads") or paper_workload_names()
-        for name in names:
-            key = (name, kwargs["instructions"], kwargs["seed"])
+        args = api.COMMANDS["characterize"].canonical(kwargs)
+        for name in args["workloads"]:
+            key = (name, args["instructions"], args["seed"])
             if key not in seen and not _engines.is_cached(*key):
                 seen.add(key)
                 lanes.append(LaneSpec(*key))

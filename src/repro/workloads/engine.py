@@ -10,12 +10,8 @@ five (§2.2: "we will report results for the composite of all five,
 that is, the sum of the five µPC histograms") and stays bit-identical
 no matter how large the registry grows.
 
-Workloads are resolved *by name* through the registry.  Passing a
-:class:`~repro.workloads.profiles.MixProfile` object for a registered
-workload — the calling convention this module launched with — still
-works but raises :class:`DeprecationWarning`; ad-hoc, unregistered
-profiles (the fuzzers, the explore sweeps' perturbed variants) run
-silently, as before.
+Workloads are resolved *by name* through the registry (or passed as
+a :class:`~repro.workloads.registry.WorkloadSpec`).
 
 Results are memoised per (workload, instructions, seed, machine) so
 that the table benchmarks, which all consume the same composite, pay
@@ -24,8 +20,7 @@ their recording (bit-verified, see :mod:`repro.workloads.trace`) and
 are pinned to the recorded budget, seed and machine.
 
 This is the internal engine behind the public facade
-(:mod:`repro.api`); the old home of these functions,
-:mod:`repro.workloads.experiments`, remains as deprecated wrappers.
+(:mod:`repro.api`).
 
 Observability: runs report through :mod:`repro.obs` — lifecycle events,
 an adaptive instruction-boundary progress sampler, and registry
@@ -36,17 +31,13 @@ under the same key.
 
 from __future__ import annotations
 
-import warnings
-
 from repro import obs
 from repro.analysis.measurement import Measurement, composite
 from repro.machines.registry import DEFAULT_MACHINE, get_machine
 from repro.obs import metrics
 from repro.osim.executive import Executive
-from repro.workloads.profiles import MixProfile, STANDARD_PROFILES
-from repro.workloads.registry import (WORKLOADS, WorkloadError,
-                                      WorkloadSpec, get_workload,
-                                      paper_workload_names)
+from repro.workloads.registry import (WorkloadError, WorkloadSpec,
+                                      get_workload, paper_workload_names)
 
 #: Default measurement window per workload, in measured instructions.
 #: ~60k per workload keeps a five-workload composite comfortably under a
@@ -57,33 +48,6 @@ DEFAULT_INSTRUCTIONS = 60_000
 SMOKE_INSTRUCTIONS = 2_000
 
 _CACHE: dict = {}
-
-
-def _resolve(workload):
-    """Resolve a workload argument to ``(spec_or_None, profile)``.
-
-    ``str`` (or None, meaning the default) resolves through the
-    registry, raising :class:`WorkloadError` for unknown names before
-    anything simulates.  A :class:`MixProfile` is the deprecated PR-5
-    calling convention: if it *is* a registered workload's profile the
-    caller gets a :class:`DeprecationWarning` telling them to pass the
-    name; an ad-hoc profile (perturbed variants, fuzz inputs) passes
-    through silently with no spec.
-    """
-    if isinstance(workload, WorkloadSpec):
-        return workload, workload.profile
-    if workload is None or isinstance(workload, str):
-        spec = get_workload(workload)
-        return spec, spec.profile
-    spec = WORKLOADS.get(workload.name)
-    if spec is not None and spec.profile is workload:
-        warnings.warn(
-            "passing a MixProfile for a registered workload is "
-            "deprecated; pass the workload name "
-            f"({workload.name!r}) instead", DeprecationWarning,
-            stacklevel=3)
-        return spec, workload
-    return None, workload
 
 
 def _finish(key, measurement, name, instructions) -> Measurement:
@@ -135,10 +99,8 @@ def run_workload(workload, instructions: int = None,
                  machine: str = DEFAULT_MACHINE) -> Measurement:
     """Run one workload experiment and return its measurement.
 
-    ``workload`` is a registered workload name (the canonical calling
-    convention; ``None`` means the default), a
-    :class:`~repro.workloads.registry.WorkloadSpec`, or — deprecated
-    for registered workloads — a :class:`MixProfile`.  With
+    ``workload`` is a registered workload name (``None`` means the
+    default) or a :class:`~repro.workloads.registry.WorkloadSpec`.  With
     ``paranoid`` the run carries a sampling invariant monitor (see
     :mod:`repro.validate.paranoid`); the monitor is passive, so the
     measurement is bit-identical and memoised under the same key.
@@ -148,13 +110,14 @@ def run_workload(workload, instructions: int = None,
     a subset machine's profile adaptation is applied here, so callers
     always pass the canonical profiles.
     """
-    spec, profile = _resolve(workload)
-    if spec is not None and spec.trace is not None:
+    spec = workload if isinstance(workload, WorkloadSpec) \
+        else get_workload(workload)
+    if spec.trace is not None:
         # Replay verifies bit-identity against the recording — a
         # strictly stronger check than the paranoid monitor.
         return _run_trace(spec, instructions, seed, machine)
-    if spec is not None:
-        spec.check_machine(machine)
+    spec.check_machine(machine)
+    profile = spec.profile
     if instructions is None:
         instructions = DEFAULT_INSTRUCTIONS
     key = (profile.name, instructions, seed, machine)

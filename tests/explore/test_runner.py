@@ -28,7 +28,7 @@ class TestBaselineIdentity:
         baseline = smoke_sweep.point()
         for profile in STANDARD_PROFILES:
             measurement = engine.run_workload(
-                profile, SMOKE.instructions, SMOKE.seed)
+                profile.name, SMOKE.instructions, SMOKE.seed)
             record = baseline["records"][profile.name]
             assert record["cycles"] == measurement.cycles
             assert record["histogram"]["sha256"] == \

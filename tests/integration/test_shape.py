@@ -108,21 +108,21 @@ class TestCompositeShape:
 
 class TestPerWorkloadVariation:
     def test_scientific_has_more_float(self):
-        sci = run_workload(STANDARD_PROFILES[3], 8000, seed=2024)
-        res = run_workload(STANDARD_PROFILES[0], 8000, seed=2024)
+        sci = run_workload(STANDARD_PROFILES[3].name, 8000, seed=2024)
+        res = run_workload(STANDARD_PROFILES[0].name, 8000, seed=2024)
         f_sci = table1(sci).frequency_percent[OpcodeGroup.FLOAT]
         f_res = table1(res).frequency_percent[OpcodeGroup.FLOAT]
         assert f_sci > f_res
 
     def test_commercial_has_more_decimal(self):
-        com = run_workload(STANDARD_PROFILES[4], 8000, seed=2024)
-        sci = run_workload(STANDARD_PROFILES[3], 8000, seed=2024)
+        com = run_workload(STANDARD_PROFILES[4].name, 8000, seed=2024)
+        sci = run_workload(STANDARD_PROFILES[3].name, 8000, seed=2024)
         d_com = table1(com).frequency_percent[OpcodeGroup.DECIMAL]
         d_sci = table1(sci).frequency_percent[OpcodeGroup.DECIMAL]
         assert d_com >= d_sci
 
     def test_composite_is_sum_of_five(self, comp):
-        runs = [run_workload(p, 8000, seed=2024)
+        runs = [run_workload(p.name, 8000, seed=2024)
                 for p in STANDARD_PROFILES]
         total = sum(r.tracer.instructions for r in runs)
         assert comp.tracer.instructions == total

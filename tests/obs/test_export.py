@@ -70,7 +70,7 @@ class TestFlamegraph:
         from repro.workloads.engine import run_workload
         from repro.workloads.profiles import STANDARD_PROFILES
 
-        measurement = run_workload(STANDARD_PROFILES[0], 1_500)
+        measurement = run_workload(STANDARD_PROFILES[0].name, 1_500)
         lines = flamegraph(measurement)
         assert lines
         total = 0
@@ -86,7 +86,7 @@ class TestFlamegraph:
         from repro.workloads.engine import run_workload
         from repro.workloads.profiles import STANDARD_PROFILES
 
-        measurement = run_workload(STANDARD_PROFILES[0], 1_500)
+        measurement = run_workload(STANDARD_PROFILES[0].name, 1_500)
         stages = {line.split(";")[1] for line in flamegraph(measurement)}
         assert {"decode", "specifier", "execute"} <= stages
 

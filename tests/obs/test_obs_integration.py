@@ -46,7 +46,7 @@ class TestArtifacts:
         with scoped_registry():
             with obs.observe(out, label="artifacts") as observation:
                 engine.run_workload(
-                    engine.STANDARD_PROFILES[0], 1_500)
+                    engine.paper_workload_names()[0], 1_500)
         assert set(observation.outputs) == {"events", "metrics",
                                             "trace", "flamegraph"}
 
@@ -78,9 +78,9 @@ class TestArtifacts:
             with obs.observe(tmp_path / "out",
                              label="memo") as observation:
                 first = engine.run_workload(
-                    engine.STANDARD_PROFILES[0], 1_500)
+                    engine.paper_workload_names()[0], 1_500)
                 again = engine.run_workload(
-                    engine.STANDARD_PROFILES[0], 1_500)
+                    engine.paper_workload_names()[0], 1_500)
         assert again is first
         snap = observation.registry.snapshot()
         assert snap["workloads.memo_hits"]["value"] >= 1

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.serve.canonical import (COMMANDS, CharacterizeRequest,
-                                   ExploreRequest, UbenchRequest,
-                                   ValidateRequest, parse_request,
-                                   request_key)
+from repro.serve.canonical import COMMANDS, parse_request, request_key
+
+CharacterizeRequest = COMMANDS["characterize"]
+ExploreRequest = COMMANDS["explore"]
+UbenchRequest = COMMANDS["ubench"]
+ValidateRequest = COMMANDS["validate"]
 
 #: Every characterize field at its dataclass default, spelled out.
 CHARACTERIZE_DEFAULTS = {
@@ -145,7 +147,7 @@ class TestValidation:
         # Engine-less commands are untouched by the default.
         workload = parse_request(
             {"command": "run-workload",
-             "params": {"profile": "timesharing-research", "smoke": True}},
+             "params": {"workload": "timesharing-research", "smoke": True}},
             default_engine="auto")
         assert "engine" not in workload.canonical()
 
@@ -184,7 +186,7 @@ class TestCanonicalIsJson:
             UbenchRequest.from_payload({"smoke": True}),
             ExploreRequest.from_payload({"spec": "smoke"}),
             COMMANDS["run-workload"].from_payload(
-                {"profile": "timesharing-research", "smoke": True}),
+                {"workload": "timesharing-research", "smoke": True}),
         ]
         for request in requests:
             canonical = request.canonical()

@@ -36,14 +36,14 @@ class TestServeCli:
         try:
             first = run_submit(
                 url, "characterize", "--param", "instructions=500",
-                "--param", 'table="4"', "--seed", "4801",
+                "--param", 'table="4"', "--param", "seed=4801",
                 "--json", str(tmp_path / "first.json"))
             assert first.returncode == 0, first.stdout + first.stderr
             assert "done" in first.stdout
 
             second = run_submit(
                 url, "characterize", "--param", "instructions=500",
-                "--param", 'table="4"', "--seed", "4801",
+                "--param", 'table="4"', "--param", "seed=4801",
                 "--json", str(tmp_path / "second.json"))
             assert second.returncode == 0
             assert "cache hit" in second.stdout
@@ -60,7 +60,7 @@ class TestServeCli:
             # server exits 0 and its record reaches the store.
             pending = run_submit(
                 url, "characterize", "--param", "instructions=700",
-                "--param", 'table="4"', "--seed", "4802", "--no-wait")
+                "--param", 'table="4"', "--param", "seed=4802", "--no-wait")
             assert pending.returncode == 0
         finally:
             proc.send_signal(signal.SIGTERM)
@@ -88,7 +88,7 @@ class TestServeCli:
         env = dict(os.environ, PYTHONPATH=SRC)
         out = subprocess.run(
             [sys.executable, "-m", "repro", "submit", "characterize",
-             "--smoke", "--url", "http://127.0.0.1:1"],
+             "--param", "smoke=true", "--url", "http://127.0.0.1:1"],
             capture_output=True, text=True, env=env, timeout=60)
         assert out.returncode == 1
         assert "cannot reach server" in out.stderr

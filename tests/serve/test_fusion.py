@@ -14,7 +14,7 @@ import json
 from repro import api
 from repro.obs import metrics
 from repro.serve import ServeConfig
-from repro.serve.canonical import CharacterizeRequest
+from repro.serve.canonical import COMMANDS
 from repro.serve.server import JobServer
 from repro.serve.testing import ServerThread
 from repro.workloads.profiles import STANDARD_PROFILES
@@ -36,7 +36,7 @@ class TestFusionPlanning:
                 self.request = request
 
         def job(**params):
-            return FakeJob(CharacterizeRequest.from_payload(params))
+            return FakeJob(COMMANDS["characterize"].from_payload(params))
 
         jobs = [job(instructions=400, engine="auto"),
                 job(instructions=600, engine="auto"),

@@ -10,7 +10,7 @@ from repro.serve.canonical import COMMANDS, parse_request, request_key
 #: The minimum valid payload per command (machine deliberately absent).
 BASE_PAYLOADS = {
     "characterize": {},
-    "run-workload": {"profile": "rte-educational"},
+    "run-workload": {"workload": "rte-educational"},
     "ubench": {"smoke": True},
     "explore": {"smoke": True},
     "validate": {"smoke": True},

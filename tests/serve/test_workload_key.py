@@ -5,10 +5,9 @@ anything else.
 SERVE_SCHEMA 3 made the workload registry the canonicalizer for every
 request that names workloads.  The cache contract that follows: two
 payloads asking for the same simulation — full name vs. suffix,
-``workload`` vs. its deprecated ``profile`` alias, explicit paper five
-vs. the default — must map to ONE request key, and a workload the
-registry does not know must be rejected at parse time, before the job
-ever reaches the queue.
+explicit paper five vs. the default — must map to ONE request key,
+and a workload the registry does not know must be rejected at parse
+time, before the job ever reaches the queue.
 """
 
 import pytest
@@ -33,25 +32,12 @@ def key_of(command, payload):
 
 class TestSpellingsCollapse:
     @settings(max_examples=30, deadline=None)
-    @given(name=st.sampled_from(sorted(SUFFIXES)),
-           alias=st.booleans(), suffix=st.booleans())
+    @given(name=st.sampled_from(sorted(SUFFIXES)), suffix=st.booleans())
     def test_equivalent_run_workload_spellings_share_a_key(
-            self, name, alias, suffix):
+            self, name, suffix):
         spelling = SUFFIXES[name] if suffix else name
-        field = "profile" if alias else "workload"
-        assert key_of("run-workload", {field: spelling}) == \
+        assert key_of("run-workload", {"workload": spelling}) == \
             key_of("run-workload", {"workload": name})
-
-    def test_agreeing_alias_and_field_are_one_request(self):
-        assert key_of("run-workload",
-                      {"workload": PAPER[0], "profile": PAPER[0]}) == \
-            key_of("run-workload", {"workload": PAPER[0]})
-
-    def test_disagreeing_alias_is_rejected(self):
-        with pytest.raises(api.ApiError) as err:
-            COMMANDS["run-workload"].from_payload(
-                {"workload": PAPER[0], "profile": PAPER[1]})
-        assert "disagree" in str(err.value)
 
     @settings(max_examples=20, deadline=None)
     @given(explicit=st.booleans())

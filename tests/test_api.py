@@ -55,10 +55,10 @@ class TestCharacterize:
 class TestRunWorkload:
     def test_accepts_name_suffix_and_profile(self):
         by_suffix = api.run_workload("research", instructions=BUDGET)
-        by_object = api.run_workload(STANDARD_PROFILES[0],
-                                     instructions=BUDGET)
-        assert by_suffix.profile == by_object.profile
-        assert by_suffix.cycles == by_object.cycles
+        by_name = api.run_workload(STANDARD_PROFILES[0].name,
+                                   instructions=BUDGET)
+        assert by_suffix.profile == by_name.profile
+        assert by_suffix.cycles == by_name.cycles
 
     def test_unknown_profile(self):
         with pytest.raises(api.ApiError, match="unknown workload"):

@@ -85,6 +85,12 @@ class TestCharacterizeSelection:
             api.characterize(smoke=True, workloads=("no-such-load",))
         assert "no-such-load" in str(err.value)
 
+    @pytest.mark.parametrize("command", [api.characterize, api.validate])
+    def test_empty_selection_is_an_api_error(self, command):
+        """Selecting nothing is a bad argument, not an empty success."""
+        with pytest.raises(api.ApiError, match="selects no workloads"):
+            command(smoke=True, workloads=[])
+
 
 class TestOriginalCompositeContract:
     def test_default_equals_explicit_paper_five_bitwise(self):

@@ -97,6 +97,11 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["characterize", "validate"])
+    def test_empty_workload_selection_exits_2(self, command, capsys):
+        assert main([command, "--smoke", "--workloads", ","]) == 2
+        assert "selects no workloads" in capsys.readouterr().err
+
     def test_ubench_smoke(self, tmp_path, capsys):
         import json
         out_json = tmp_path / "UBENCH.json"

@@ -387,11 +387,9 @@ def measure_analytical(repeats: int, target: int = 6_000) -> dict:
     except ImportError:
         return {}
     from repro.workloads import engine
-    from repro.workloads.profiles import STANDARD_PROFILES
 
     anchors = (1_000, 3_000, 5_000, 7_000, 9_000)
     workload = "rte-educational"
-    profile = next(p for p in STANDARD_PROFILES if p.name == workload)
     machines = {}
     for machine in ("vax780", "uvax78032"):
         calib_runs, sim_runs, estimate_ns = [], [], []
@@ -399,12 +397,12 @@ def measure_analytical(repeats: int, target: int = 6_000) -> dict:
         for _ in range(repeats):
             engine.clear_cache()
             t0 = time.perf_counter()
-            mix = calibrate(profile, machine, anchors=anchors)
+            mix = calibrate(workload, machine, anchors=anchors)
             calib_runs.append(round(time.perf_counter() - t0, 3))
 
             engine.clear_cache()
             t0 = time.perf_counter()
-            engine.run_workload(profile, target, machine=machine)
+            engine.run_workload(workload, target, machine=machine)
             sim_runs.append(round(time.perf_counter() - t0, 3))
 
             check = check_estimate(mix, target)
