@@ -251,11 +251,6 @@ def _workload_list(text: str):
                  if name.strip())
 
 
-def _read_source(path: str) -> str:
-    with open(path) as handle:
-        return handle.read()
-
-
 def _address(text: str) -> int:
     return int(text, 0)
 
@@ -271,7 +266,7 @@ SHARED_PARAMS = {
     "store": Param(str, "explore result store directory "
                         "(default: .explore/store)"),
     "engine": Param(None, "execution engine: scalar (default), batch "
-                          "(lockstep many-lane engine, bit-identical "
+                          "(fused many-lane engine, bit-identical "
                           "results), or auto; validated before "
                           "anything simulates"),
     "machine": Param(str, "machine backend: vax780 (default, the "
@@ -583,8 +578,7 @@ class DisasmResult(_Result):
 
 
 @_command("disasm",
-          source=Param(str, "VAX MACRO source file", flag="",
-                       cli={"type": _read_source}),
+          source=Param(str, "VAX MACRO source file", flag=""),
           base=Param(int, "assembly base address",
                      cli={"type": _address}))
 def disasm(source: str, base: int = 0x200) -> DisasmResult:
@@ -705,6 +699,7 @@ def record_trace(workload=None, path: str = None,
                  register: bool = True) -> TraceResult:
     """Record one workload run to a replayable trace file.
 
+    ``path`` defaults to ``<workload>.rprt`` in the working directory.
     The recording run is bit-identical to an ordinary
     :func:`run_workload` of the source workload (the recorder is a
     passive boundary hook), so its measurement also primes the engine
@@ -715,11 +710,11 @@ def record_trace(workload=None, path: str = None,
     from repro.workloads.trace import TraceError
     from repro.workloads.trace import record_trace as _record
 
-    if path is None:
-        raise ApiError("record_trace needs a destination path")
     machine_name = _machine(machine)
     spec = _workload(workload, machine_name)
     instructions = _budget(instructions, smoke)
+    if path is None:
+        path = f"{spec.name}.rprt"
     with _span("record-trace", workload=spec.name,
                instructions=instructions, seed=seed,
                machine=machine_name):
@@ -1105,7 +1100,7 @@ def validate(instructions: int = None, fuzz_cases: int = 0,
 
     ``engine`` selects what the fuzzer differences against: ``scalar``
     (the default) runs the fast-path engine against the per-cycle
-    reference spec; ``batch`` runs the lockstep batch engine against
+    reference spec; ``batch`` runs the batch engine against
     independent scalar runs, capturing each case at several prefix
     boundaries.  ``auto`` is rejected here — a validation run must name
     the engine it is validating.  ``machine`` selects the backend the

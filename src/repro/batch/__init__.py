@@ -1,11 +1,10 @@
-"""repro.batch: the lockstep batch execution engine.
+"""repro.batch: the batch execution engine.
 
 A second way to run measurements: many lanes (workload × params ×
-budget × seed) advance together — budget-only variants fused onto
-shared machines, cross-lane state in struct-of-arrays numpy buffers,
-every histogram accumulated in one matrix sink — with results
-bit-identical to the scalar engine lane for lane.  See
-:mod:`repro.batch.lanes` for the fusion rule and
+budget × seed × machine), with budget-only variants fused onto shared
+machines and each cohort run once through the scalar run loop, one
+cohort at a time — results bit-identical to the scalar engine lane for
+lane.  See :mod:`repro.batch.lanes` for the fusion rule and
 :mod:`repro.batch.engine` for the identity argument.
 
 Engine selection (``--engine`` on the CLI, ``engine=`` on the facade)
@@ -15,15 +14,12 @@ way, before any simulation runs.
 
 from __future__ import annotations
 
-from repro.batch.engine import (BatchRunner, LaneResult, QUANTUM,
-                                run_lanes)
-from repro.batch.histograms import BatchHistogramSink
-from repro.batch.lanes import Cohort, LaneArrays, LaneSpec, plan_cohorts
+from repro.batch.engine import BatchRunner, LaneResult, run_lanes
+from repro.batch.lanes import Cohort, LaneSpec, plan_cohorts
 
 __all__ = ["ENGINES", "EngineError", "validate_engine",
-           "BatchRunner", "BatchHistogramSink", "Cohort", "LaneArrays",
-           "LaneResult", "LaneSpec", "QUANTUM", "plan_cohorts",
-           "run_lanes"]
+           "BatchRunner", "Cohort", "LaneResult", "LaneSpec",
+           "plan_cohorts", "run_lanes"]
 
 #: Legal values everywhere an engine can be chosen.
 ENGINES = ("scalar", "batch", "auto")

@@ -1,25 +1,24 @@
-"""The lockstep batch runner: many machine instances, one pass.
+"""The batch runner: one cohort at a time through the scalar run loop.
 
 :class:`BatchRunner` executes a list of :class:`~repro.batch.lanes.LaneSpec`
-requests by fusing budget-only variants into cohorts (one machine each,
-captured at every lane's boundary as it goes by) and advancing all
-cohorts round-robin in fixed instruction quanta.  Per-lane scheduling
-state lives in struct-of-arrays numpy vectors
-(:class:`~repro.batch.lanes.LaneArrays`) and every captured histogram
-lands in one shared matrix sink
-(:class:`~repro.batch.histograms.BatchHistogramSink`).
+requests by fusing budget-only variants into cohorts.  Each cohort boots
+one machine through the machine registry, exactly as a scalar run
+does, runs it to each of its capture boundaries in ascending order
+with :func:`repro.osim.executive.run_until` — the loop
+:meth:`~repro.osim.executive.Executive.run` itself uses — and captures
+a :class:`~repro.analysis.measurement.Measurement` at each.  The
+machine is dropped before the next cohort boots, so only one is alive
+at a time.
 
 Bit-identity contract: each lane's measurement equals, bit for bit,
 what the scalar path (:func:`repro.workloads.engine.run_workload` /
 ``explore``'s per-task worker) produces for the same (workload,
-params, instructions, seed) — including the two failure modes, which
-reproduce the scalar engine's exact :class:`RuntimeError` messages.
-The inner loop below is a transcription of
-:meth:`repro.osim.executive.Executive.run` with two differences that
-are provably invisible to the simulated machine: the loop pauses at
-quantum boundaries (the checks resume at the same state in the same
-order), and passed boundaries trigger a passive mid-run capture
-(``settle_gate`` is idempotent and the board is only read).  The
+params, instructions, seed, machine) — including the two failure
+modes, which reproduce the scalar engine's exact :class:`RuntimeError`
+messages.  Resuming the loop toward a larger budget is invisible to
+the machine: the loop's checks at each state only read it, and a
+capture is passive (``settle_gate`` is idempotent and the board is
+only read), as the µPC monitor's board is on the real 780.  The
 scalar↔batch differential fuzzer (:mod:`repro.validate.differential`)
 enforces the contract on randomly perturbed profiles.
 """
@@ -29,23 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.analysis.measurement import Measurement, MemoryStats, TracerStats
-from repro.batch.histograms import BatchHistogramSink
-from repro.batch.lanes import Cohort, LaneArrays, LaneSpec, plan_cohorts
-from repro.cpu.machine import VAX780
+from repro.analysis.measurement import Measurement
+from repro.batch.lanes import Cohort, LaneSpec, plan_cohorts
+from repro.machines.registry import get_machine
 from repro.obs import metrics
-from repro.osim.executive import Executive
-from repro.params import VAX780 as STOCK_PARAMS
-
-#: Measured instructions each cohort advances per lockstep round.
-QUANTUM = 2048
-
-#: Cycles allowed per measured instruction before a lane fails — the
-#: same default budget as :meth:`repro.osim.executive.Executive.run`.
-CYCLE_LIMIT_FACTOR = 400
-
-#: The scalar engine's exact failure message for a halted machine.
-HALTED_ERROR = "machine halted during workload run"
+from repro.osim.executive import Executive, run_until
 
 
 @dataclass(frozen=True)
@@ -62,37 +49,24 @@ class LaneResult:
 
 
 class _CohortState:
-    """One cohort's live machine and its progress through its targets."""
+    """One cohort's live machine and the boundary it is running to."""
 
-    __slots__ = ("cohort", "machine", "targets", "cursor", "rows",
-                 "results", "finished")
+    __slots__ = ("cohort", "machine", "target")
 
-    def __init__(self, cohort: Cohort, machine, rows: list) -> None:
+    def __init__(self, cohort: Cohort, machine) -> None:
         self.cohort = cohort
         self.machine = machine
-        self.targets = list(cohort.targets)
-        self.cursor = 0
-        self.rows = rows                  #: sink row per target
-        self.results = {}                 #: target -> LaneResult payload
-        self.finished = False
-
-    @property
-    def target(self) -> int:
-        return self.targets[self.cursor]
+        self.target = None
 
 
 class BatchRunner:
-    """Advance many lanes in lockstep; results in input-lane order."""
+    """Run lanes cohort by cohort; results in input-lane order."""
 
-    def __init__(self, lanes, quantum: int = QUANTUM, profiles=None,
-                 on_result=None) -> None:
+    def __init__(self, lanes, profiles=None, on_result=None) -> None:
         self.lanes = [spec if isinstance(spec, LaneSpec)
                       else LaneSpec(*spec) for spec in lanes]
         if not self.lanes:
             raise ValueError("batch needs at least one lane")
-        if quantum < 1:
-            raise ValueError(f"quantum must be positive, got {quantum}")
-        self.quantum = quantum
         if profiles is None:
             # Every registered generator workload is a valid lane;
             # trace-backed workloads replay on their own machine and
@@ -110,109 +84,61 @@ class BatchRunner:
                 raise ValueError(
                     f"unknown workload {spec.workload!r}; valid "
                     f"workloads: {', '.join(sorted(self.profiles))}")
+            get_machine(spec.machine)   # unknown names fail before a boot
         self.on_result = on_result
         self.cohorts = plan_cohorts(self.lanes)
-        rows = sum(len(c.targets) for c in self.cohorts)
-        self.sink = BatchHistogramSink(rows)
-        self.arrays = LaneArrays(len(self.lanes))
         self._results = [None] * len(self.lanes)
 
-    # -- lifecycle ------------------------------------------------------
-
-    def _boot(self, cohort: Cohort, first_row: int) -> _CohortState:
-        profile = self.profiles[cohort.workload]
-        params = STOCK_PARAMS.with_overrides(**dict(cohort.overrides))
-        machine = VAX780(params)
-        executive = Executive(machine, profile, seed=cohort.seed)
+    def _boot(self, cohort: Cohort) -> _CohortState:
+        """A freshly booted machine for ``cohort``, built as scalar runs
+        build theirs."""
+        spec = get_machine(cohort.machine)
+        machine = spec.build(
+            spec.params.with_overrides(**dict(cohort.overrides)))
+        executive = Executive(
+            machine, spec.adapt_profile(self.profiles[cohort.workload]),
+            seed=cohort.seed)
         executive.boot()
-        rows = list(range(first_row, first_row + len(cohort.targets)))
-        return _CohortState(cohort, machine, rows)
+        return _CohortState(cohort, machine)
 
     def run(self) -> list:
         """Execute every lane; returns LaneResults in input order."""
         fused = len(self.lanes) - len(self.cohorts)
         obs.emit("batch_started", lanes=len(self.lanes),
-                 cohorts=len(self.cohorts), fused=fused,
-                 quantum=self.quantum)
+                 cohorts=len(self.cohorts), fused=fused)
         metrics.counter("batch.lanes").inc(len(self.lanes))
         metrics.counter("batch.cohorts").inc(len(self.cohorts))
         if fused:
             metrics.counter("batch.fused_lanes").inc(fused)
-        states = []
-        row = 0
         for cohort in self.cohorts:
-            states.append(self._boot(cohort, row))
-            row += len(cohort.targets)
-        for state in states:
-            self._refresh(state)
-        rounds = 0
-        while True:
-            live = [state for state in states if not state.finished]
-            if not live:
-                break
-            for state in live:
-                self._advance(state)
-                self._refresh(state)
-            rounds += 1
-            # Vectorized cross-lane reduction over the SoA state: one
-            # numpy pass tells the round how much work remains.
-            obs.emit("batch_round", round=rounds,
-                     live_lanes=self.arrays.live(),
-                     remaining_instructions=self.arrays.remaining())
-        metrics.counter("batch.rounds").inc(rounds)
+            # The state (and its machine) is garbage once _advance
+            # returns, before the next cohort boots.
+            self._advance(self._boot(cohort))
         obs.emit("batch_finished", lanes=len(self.lanes),
-                 cohorts=len(self.cohorts), rounds=rounds)
+                 cohorts=len(self.cohorts))
         return list(self._results)
 
-    # -- the fused scalar loop ------------------------------------------
-
     def _advance(self, state: _CohortState) -> None:
-        """Advance one cohort by up to one quantum of instructions.
+        """Run one cohort to each of its targets, capturing at each.
 
-        A transcription of ``Executive.run`` with capture at passed
-        boundaries: while measuring toward target *t* the halted check
-        precedes the ``now > t * 400`` check at every state, exactly as
-        the scalar loop orders them for a run with budget *t*.
+        A target whose run fails settles with the loop's message and
+        the machine carries on toward the next: a scalar run with the
+        larger budget passes through the same states, and its larger
+        cycle limit cannot have fired any earlier.  A halted machine
+        stays halted, so every later target fails the same way.
         """
-        m = state.machine
-        tracer = m.tracer
-        ebox = m.ebox
-        step = m.step
-        stop_at = tracer.instructions + self.quantum
-        while not state.finished and tracer.instructions < stop_at:
-            target = state.target
-            if tracer.instructions >= target:
-                self._capture(state)
-                continue
-            limit = target * CYCLE_LIMIT_FACTOR
-            bound = min(target, stop_at)
-            while tracer.instructions < bound:
-                if m.halted:
-                    # Every remaining budget fails the same way the
-                    # scalar run would: the halt persists and its check
-                    # precedes the cycle-limit check.
-                    self._fail_rest(state, HALTED_ERROR)
-                    return
-                if ebox.now > limit:
-                    self._fail_target(
-                        state,
-                        f"cycle limit hit: {tracer.instructions} of "
-                        f"{target} instructions measured")
-                    break
-                step()
+        for target in state.cohort.targets:
+            state.target = target
+            try:
+                run_until(state.machine, target)
+            except RuntimeError as exc:
+                self._fail_target(state, str(exc))
             else:
-                if tracer.instructions >= target:
-                    self._capture(state)
-
-    # -- per-target outcomes --------------------------------------------
+                self._capture(state)
 
     def _capture(self, state: _CohortState) -> None:
-        m = state.machine
-        m.tracer.settle_gate(m.cycles)
-        histogram = self.sink.capture(state.rows[state.cursor], m.board)
-        measurement = Measurement(state.cohort.workload, histogram,
-                                  TracerStats(m.tracer), MemoryStats(m),
-                                  m.cycles)
+        measurement = Measurement.capture(state.cohort.workload,
+                                          state.machine)
         metrics.counter("batch.captures").inc()
         self._settle_target(state, measurement=measurement)
 
@@ -220,49 +146,27 @@ class BatchRunner:
         metrics.counter("batch.lane_failures").inc()
         self._settle_target(state, error=error)
 
-    def _fail_rest(self, state: _CohortState, error: str) -> None:
-        while not state.finished:
-            self._fail_target(state, error)
-
     def _settle_target(self, state: _CohortState, measurement=None,
                        error=None) -> None:
-        target = state.target
-        for index in state.cohort.lanes_at(target):
+        for index in state.cohort.lanes_at(state.target):
             result = LaneResult(self.lanes[index], measurement, error)
             self._results[index] = result
             obs.emit("batch_lane_finished", lane=index,
                      label=self.lanes[index].label(), ok=result.ok)
             if self.on_result is not None:
                 self.on_result(index, result)
-        state.results[target] = (measurement, error)
-        state.cursor += 1
-        if state.cursor >= len(state.targets):
-            state.finished = True
-
-    # -- SoA bookkeeping ------------------------------------------------
-
-    def _refresh(self, state: _CohortState) -> None:
-        """Mirror a cohort's live state into every lane's SoA slot."""
-        for index, spec in state.cohort.lanes:
-            target = spec.instructions
-            settled = state.results.get(target)
-            done = settled is not None and settled[1] is None
-            failed = settled is not None and settled[1] is not None
-            self.arrays.update(index, state.machine, target,
-                               target * CYCLE_LIMIT_FACTOR, done, failed)
 
 
-def run_lanes(lanes, quantum: int = QUANTUM, profiles=None,
-              on_result=None, strict: bool = True) -> list:
+def run_lanes(lanes, profiles=None, on_result=None,
+              strict: bool = True) -> list:
     """Run lanes through one BatchRunner; optionally raise lane errors.
 
     With ``strict`` (the default) the first failed lane raises the
     scalar engine's :class:`RuntimeError` verbatim, matching what a
     serial loop over ``run_workload`` would have done.
     """
-    runner = BatchRunner(lanes, quantum=quantum, profiles=profiles,
-                         on_result=on_result)
-    results = runner.run()
+    results = BatchRunner(lanes, profiles=profiles,
+                          on_result=on_result).run()
     if strict:
         for result in results:
             if result.error is not None:

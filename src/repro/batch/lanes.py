@@ -1,40 +1,28 @@
-"""Lane planning for the lockstep batch engine.
+"""Lane planning for the batch engine.
 
 A *lane* is one requested measurement: a workload profile, an
-instruction budget, a seed, and a tuple of MachineParams overrides.
-The batch engine's central observation is that execution never depends
-on the budget — :meth:`repro.osim.executive.Executive.run` only decides
-*when to stop looking* — so two lanes that agree on everything except
-the budget pass through bit-identical machine states.  Such lanes fuse
-into one *cohort*: a single machine advances once, and each lane's
-measurement is captured as its instruction boundary goes by.  A sweep
-along the ``instructions`` axis therefore costs one run of the longest
-lane instead of one run per point.
+instruction budget, a seed, a tuple of MachineParams overrides and a
+machine backend.  The batch engine's central observation is that
+execution never depends on the budget —
+:meth:`repro.osim.executive.Executive.run` only decides *when to stop
+looking* — so two lanes that agree on everything except the budget
+pass through bit-identical machine states.  Such lanes fuse into one
+*cohort*: a single machine runs once, and each lane's measurement is
+captured as its instruction boundary goes by.  A sweep along the
+``instructions`` axis therefore costs one run of the longest lane
+instead of one run per point.
 
 Nothing else may fuse.  Timing feeds back into architecture through the
 executive's devices (:mod:`repro.osim.devices` polls ``ebox.now`` to
-post interrupts), so lanes that differ in params, workload or seed
-diverge architecturally and each gets its own cohort; the engine still
-advances all cohorts in lockstep and accumulates their histograms in
-one struct-of-arrays sink.
-
-Cross-lane bookkeeping lives in :class:`LaneArrays` — parallel numpy
-vectors of per-lane PC, cycle time, retired instructions, targets
-and cycle limits — refreshed at every lockstep quantum and reduced with
-vectorized operations (liveness masks, remaining-work counts, limit
-margins).  The architectural core of each lane advances through the
-ordinary scalar machine: that is the always-correct fallback path that
-keeps every rare event (faults, interrupts, aborts, halts) bit-exact.
+post interrupts), so lanes that differ in machine, params, workload or
+seed diverge architecturally and each gets its own cohort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from repro.machines.registry import DEFAULT_MACHINE
 
 
 @dataclass(frozen=True)
@@ -46,6 +34,7 @@ class LaneSpec:
     seed: int
     #: sorted (name, value) MachineParams overrides, like Point.overrides
     overrides: tuple = ()
+    machine: str = DEFAULT_MACHINE
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -58,21 +47,25 @@ class LaneSpec:
 
     def cohort_key(self) -> tuple:
         """Everything that shapes the architectural stream."""
-        return (self.workload, self.seed, self.overrides)
+        return (self.workload, self.seed, self.overrides, self.machine)
 
     def label(self) -> str:
         extra = ",".join(f"{k}={v}" for k, v in self.overrides)
+        where = "" if self.machine == DEFAULT_MACHINE \
+            else f" on {self.machine}"
         return (f"{self.workload} n={self.instructions} "
-                f"seed={self.seed}" + (f" [{extra}]" if extra else ""))
+                f"seed={self.seed}" + where
+                + (f" [{extra}]" if extra else ""))
 
 
 @dataclass(frozen=True)
 class Cohort:
-    """Lanes that share one machine: same workload, seed and params."""
+    """Lanes that share one machine: same workload, seed, params, machine."""
 
     workload: str
     seed: int
     overrides: tuple
+    machine: str
     lanes: tuple             #: (lane_index, LaneSpec) in caller order
 
     @property
@@ -98,74 +91,7 @@ def plan_cohorts(lanes) -> list:
     the same cohort sharing one capture).
     """
     grouped = {}
-    order = []
     for index, spec in enumerate(lanes):
-        key = spec.cohort_key()
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append((index, spec))
-    return [Cohort(workload=key[0], seed=key[1], overrides=key[2],
-                   lanes=tuple(grouped[key]))
-            for key in order]
-
-
-class LaneArrays:
-    """Struct-of-arrays view of every lane's scheduling state.
-
-    One slot per lane, refreshed from the live machines at each
-    lockstep quantum.  The arrays are numpy ``int64`` vectors (plain
-    lists when numpy is unavailable) so cross-lane reductions — how
-    many lanes are live, the furthest cycle clock, worst-case limit
-    margin — are single vectorized operations rather than per-lane
-    Python loops.
-    """
-
-    FIELDS = ("pc", "now", "instructions", "target",
-              "cycle_limit", "done", "failed")
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-        if _np is not None:
-            for name in self.FIELDS:
-                setattr(self, name, _np.zeros(count, dtype=_np.int64))
-        else:  # pragma: no cover - numpy ships with the toolchain
-            for name in self.FIELDS:
-                setattr(self, name, [0] * count)
-
-    def update(self, index: int, machine, target: int,
-               cycle_limit: int, done: bool, failed: bool) -> None:
-        """Refresh one lane's slot from its live machine."""
-        self.pc[index] = machine.ebox.pc
-        self.now[index] = machine.ebox.now
-        self.instructions[index] = machine.tracer.instructions
-        self.target[index] = target
-        self.cycle_limit[index] = cycle_limit
-        self.done[index] = 1 if done else 0
-        self.failed[index] = 1 if failed else 0
-
-    def live_mask(self):
-        """Boolean vector: lanes still running."""
-        if _np is not None:
-            return (self.done == 0) & (self.failed == 0)
-        return [not d and not f  # pragma: no cover
-                for d, f in zip(self.done, self.failed)]
-
-    def live(self) -> int:
-        """Number of lanes still running."""
-        mask = self.live_mask()
-        return int(mask.sum()) if _np is not None else sum(mask)
-
-    def remaining(self) -> int:
-        """Measured instructions still outstanding across live lanes."""
-        if _np is not None:
-            gap = (self.target - self.instructions) * self.live_mask()
-            return int(gap.sum())
-        return sum((t - i) for t, i, m in  # pragma: no cover
-                   zip(self.target, self.instructions, self.live_mask())
-                   if m)
-
-    def snapshot(self) -> dict:
-        """Plain-python copy (for events, progress lines and tests)."""
-        return {name: [int(v) for v in getattr(self, name)]
-                for name in self.FIELDS}
+        grouped.setdefault(spec.cohort_key(), []).append((index, spec))
+    return [Cohort(*key, lanes=tuple(members))
+            for key, members in grouped.items()]

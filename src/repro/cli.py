@@ -30,6 +30,7 @@ import json
 import sys
 
 from repro import api, obs
+from repro.serve.server import ServeConfig
 
 
 def _version() -> str:
@@ -74,6 +75,18 @@ def _add_cli_options(parser, json_output: bool = True) -> None:
         help="print a liveness line to stderr every SECS seconds")
 
 
+def _serve_flags() -> dict:
+    """``ServeConfig`` field -> (type, default, argparse settings), for
+    the fields ``repro serve`` exposes."""
+    from dataclasses import fields
+    from typing import get_type_hints
+
+    kinds = get_type_hints(ServeConfig)
+    return {spec.name: (kinds[spec.name], spec.default,
+                        dict(spec.metadata))
+            for spec in fields(ServeConfig) if spec.metadata}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -103,24 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "shared cache, queueing, and backpressure)")
     for name in ("jobs", "store", "engine", "machine"):
         _add_param(serve, name, api.SHARED_PARAMS[name], None)
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8080,
-                       help="bind port (0 = ephemeral; the actual port "
-                            "is printed at startup)")
-    serve.add_argument("--queue-size", type=int, default=64,
-                       help="bounded job queue depth; a full queue "
-                            "answers 429 + Retry-After")
-    serve.add_argument("--rate", type=float, default=None,
-                       metavar="PER_SEC",
-                       help="per-client submission rate limit "
-                            "(default: unlimited)")
-    serve.add_argument("--burst", type=int, default=8,
-                       help="per-client token-bucket capacity")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       metavar="SECS",
-                       help="per-round execution timeout; timed-out "
-                            "jobs retry once, then fail")
+    for name, (kind, default, settings) in _serve_flags().items():
+        serve.add_argument("--" + name.replace("_", "-"), type=kind,
+                           default=default, **settings)
     serve.add_argument("--no-store", dest="use_store",
                        action="store_false",
                        help="serve without the persistent result cache "
@@ -136,8 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="NAME=VALUE",
                         help="job parameter (repeatable); VALUE is "
                              "parsed as JSON, falling back to a string")
-    submit.add_argument("--url", default="http://127.0.0.1:8080",
-                        help="server address")
+    submit.add_argument("--url", default=f"http://{ServeConfig.host}:"
+                                         f"{ServeConfig.port}",
+                        help="server address (default %(default)s)")
     submit.add_argument("--client-name", default=None, metavar="NAME",
                         help="client identity for rate limiting "
                              "(X-Repro-Client header)")
@@ -196,8 +195,14 @@ def _cmd_hotspots(args, **kwargs) -> int:
     return _done(args, result.to_json)
 
 
-def _cmd_disasm(args, **kwargs) -> int:
-    result = api.disasm(**kwargs)
+def _cmd_disasm(args, source, **kwargs) -> int:
+    try:
+        with open(source) as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise api.ApiError(f"disasm: cannot read {source}: "
+                           f"{exc.strerror}") from exc
+    result = api.disasm(source=text, **kwargs)
     for line in result.lines:
         print(line)
     return _done(args, result.to_json)
@@ -236,7 +241,6 @@ def _cmd_workloads(args) -> int:
 
 
 def _cmd_record_trace(args, **kwargs) -> int:
-    kwargs.setdefault("path", f"{args.workload}.rprt")
     result = api.record_trace(**kwargs)
     print(f"recorded:  {result.source} -> {result.path}")
     print(f"machine:   {result.machine}  seed: {result.seed}  "
@@ -356,14 +360,13 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from repro.serve import JobServer, ServeConfig
+    from repro.serve import JobServer
 
     api._engine(args.engine)        # fail at startup, not per request
     api._machine(args.machine)      # likewise
     config = ServeConfig(
-        host=args.host, port=args.port, queue_size=args.queue_size,
-        rate=args.rate, burst=args.burst, engine=args.engine,
-        machine=args.machine, job_timeout=args.job_timeout)
+        engine=args.engine, machine=args.machine,
+        **{name: getattr(args, name) for name in _serve_flags()})
     if args.jobs is not None:
         config.workers = args.jobs
     if args.store is not None:

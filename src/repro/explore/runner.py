@@ -14,9 +14,9 @@ Each simulation is *exactly* the code path of
 executive boot, measured run — so the default-params point is
 bit-identical to the standard composite (a contract the tests pin).
 
-``engine="batch"`` routes the outstanding tasks through the lockstep
-batch engine (:mod:`repro.batch`) instead of the process pool: tasks
-that differ only in budget fuse onto shared machines, so an
+``engine="batch"`` routes the outstanding tasks through the batch
+engine (:mod:`repro.batch`) instead of the process pool: tasks that
+differ only in budget fuse onto shared machines, so an
 ``instructions``-axis sweep costs one run of the longest point.
 Records are bit-identical either way (the store key does not encode
 the engine), and ``engine="auto"`` picks batch exactly when some tasks
@@ -174,8 +174,18 @@ def compose(records) -> dict:
     return out
 
 
+def _lanes(todo, points) -> list:
+    """One batch lane per outstanding task."""
+    from repro.batch import LaneSpec
+
+    return [LaneSpec(workload, points[index].instructions,
+                     points[index].seed, points[index].overrides,
+                     points[index].machine)
+            for index, workload, _key in todo]
+
+
 def _run_batch(spec, todo, points, records, store, progress) -> None:
-    """Simulate the outstanding tasks through the lockstep batch engine.
+    """Simulate the outstanding tasks through the batch engine.
 
     Each task becomes one lane; lanes differing only in budget fuse
     onto shared machines (see :mod:`repro.batch.lanes`).  Results are
@@ -184,13 +194,9 @@ def _run_batch(spec, todo, points, records, store, progress) -> None:
     scalar engine's RuntimeError verbatim, exactly as the serial path
     would have propagated it.
     """
-    from repro.batch import BatchRunner, LaneSpec, plan_cohorts
+    from repro.batch import BatchRunner
 
-    lanes = []
-    for index, workload, _key in todo:
-        point = points[index]
-        lanes.append(LaneSpec(workload, point.instructions, point.seed,
-                              point.overrides))
+    lanes = _lanes(todo, points)
     landed = {"lanes": 0}
     started = time.monotonic()
 
@@ -227,22 +233,8 @@ def _run_batch(spec, todo, points, records, store, progress) -> None:
 
 def _batch_fuses(todo, points) -> bool:
     """Whether any outstanding tasks would share a machine."""
-    keys = [(workload, points[index].seed, points[index].overrides)
-            for index, workload, _key in todo]
+    keys = [lane.cohort_key() for lane in _lanes(todo, points)]
     return len(set(keys)) < len(keys)
-
-
-def _all_default_machine(todo, points) -> bool:
-    """Whether every outstanding task runs on the default backend.
-
-    The lockstep batch engine shares one 780 timing model across
-    lanes, so any non-default point forces the scalar path (mirroring
-    ``run_standard_experiments``).
-    """
-    from repro.machines.registry import DEFAULT_MACHINE
-
-    return all(points[index].machine == DEFAULT_MACHINE
-               for index, _workload, _key in todo)
 
 
 def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
@@ -254,7 +246,7 @@ def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
     updated).  ``progress`` is an optional ``callable(str)`` fed
     shard-by-shard status lines with an ETA.  ``engine`` selects the
     execution engine: ``scalar`` (the pool-sharded per-task path),
-    ``batch`` (the in-process lockstep engine), or ``auto`` (batch
+    ``batch`` (the in-process batch engine), or ``auto`` (batch
     when tasks fuse, scalar otherwise); results are bit-identical.
     """
     from repro.batch import validate_engine
@@ -293,9 +285,7 @@ def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
             todo.append((index, workload, key))
     cached = len(set(k for _, _, k in tasks)) - len(todo)
     metrics.counter("explore.resumed_points").inc(cached)
-    if not _all_default_machine(todo, points):
-        engine = "scalar"
-    elif engine == "auto":
+    if engine == "auto":
         engine = "batch" if _batch_fuses(todo, points) else "scalar"
     started = time.monotonic()
     obs.emit("sweep_started", spec=spec.name, points=len(points),

@@ -37,7 +37,7 @@ SCHEMA = 2
 
 #: Package prefixes and modules excluded from the code-version digest:
 #: they observe or present results without shaping them.  Everything
-#: else — notably the cycle model and the lockstep batch engine
+#: else — notably the cycle model and the batch engine
 #: (``batch/``), whose bugs would change stored records — is hashed.
 #: ``refute/`` only *reads* simulations (its planted perturbations are
 #: installed per-run behind a context manager and never write through

@@ -227,17 +227,33 @@ class Executive:
     def run(self, measured_instructions: int,
             cycle_limit: int = None) -> None:
         """Run until the tracer has seen ``measured_instructions``."""
-        m = self.machine
-        tracer = m.tracer
-        ebox = m.ebox
-        step = m.step
-        if cycle_limit is None:
-            cycle_limit = measured_instructions * 400
-        while tracer.instructions < measured_instructions:
-            if m.halted:
-                raise RuntimeError("machine halted during workload run")
-            if ebox.now > cycle_limit:
-                raise RuntimeError(
-                    f"cycle limit hit: {tracer.instructions} of "
-                    f"{measured_instructions} instructions measured")
-            step()
+        run_until(self.machine, measured_instructions, cycle_limit)
+
+
+#: The run loop's failure message for a halted machine.
+HALTED_ERROR = "machine halted during workload run"
+
+
+def run_until(machine: VAX780, measured_instructions: int,
+              cycle_limit: int = None) -> None:
+    """Step a booted machine until its tracer has seen the budget.
+
+    The one measured-run loop: :meth:`Executive.run` and the batch
+    engine (which calls it once per capture boundary on a machine it
+    keeps running) share it.  The halted check precedes the cycle-limit
+    check (default: 400 cycles per measured instruction) at every
+    state, and both raise :class:`RuntimeError`.
+    """
+    tracer = machine.tracer
+    ebox = machine.ebox
+    step = machine.step
+    if cycle_limit is None:
+        cycle_limit = measured_instructions * 400
+    while tracer.instructions < measured_instructions:
+        if machine.halted:
+            raise RuntimeError(HALTED_ERROR)
+        if ebox.now > cycle_limit:
+            raise RuntimeError(
+                f"cycle limit hit: {tracer.instructions} of "
+                f"{measured_instructions} instructions measured")
+        step()

@@ -18,8 +18,8 @@ bound — together with the code that *probes* it at a concrete
   cycles equal the model's prediction exactly, and reconcile.
 * ``fastpath-reference-identity`` — the optimised EBOX is bit-identical
   to the per-cycle reference spec on seeded random workloads.
-* ``batch-scalar-identity`` — the lockstep batch engine is
-  bit-identical to independent scalar runs at every capture boundary.
+* ``batch-scalar-identity`` — the batch engine is bit-identical to
+  independent scalar runs at every capture boundary.
 
 Violations are plain dicts (JSON-able end to end) so probe tasks can
 cross process boundaries and the campaign report can be committed.
@@ -40,7 +40,7 @@ class Assumption:
     #: How the planner probes it: ``measurement`` (needs a full
     #: simulated Measurement per point), ``analytical`` (store-backed
     #: sweep records), ``ubench`` (the kernel suite), or
-    #: ``differential`` (the lockstep fuzzers).
+    #: ``differential`` (the differential fuzzers).
     kind: str
     description: str
     #: Human-readable statement of the bound a violation crosses.
@@ -77,7 +77,7 @@ ASSUMPTIONS = (
         bound="architectural state and histograms identical"),
     Assumption(
         name="batch-scalar-identity", kind="differential",
-        description="the lockstep batch engine is bit-identical to "
+        description="the batch engine is bit-identical to "
                     "independent scalar runs at every capture boundary",
         bound="every measurement observable identical"),
 )

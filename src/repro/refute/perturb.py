@@ -68,25 +68,30 @@ def _install_ib_take_extra_cycle():
 
 
 def _install_batch_capture_extra_count():
-    """The batch histogram sink inflates one bucket at capture time.
+    """Each batch capture reads one extra count in nonstalled bucket 7.
 
-    Only the lockstep batch engine reads through the sink, so scalar
-    runs are untouched and the batch↔scalar identity is the one
-    contract that can see it.
+    The count is on the live board only while
+    :meth:`~repro.batch.engine.BatchRunner._capture` snapshots it, so
+    the board is left as found and the run goes on unchanged.  Scalar
+    runs never pass through the batch capture, so the batch↔scalar
+    identity is the one contract that can see it.
     """
-    from repro.batch.histograms import BatchHistogramSink
+    from repro.batch.engine import BatchRunner
 
-    original = BatchHistogramSink.capture
+    original = BatchRunner._capture
 
-    def capture(self, row, board):
-        original(self, row, board)
-        self.nonstalled[row][7] += 1
-        return self.histogram(row)
+    def _capture(self, state):
+        board = state.machine.board
+        board.nonstalled[7] += 1
+        try:
+            original(self, state)
+        finally:
+            board.nonstalled[7] -= 1
 
-    BatchHistogramSink.capture = capture
+    BatchRunner._capture = _capture
 
     def undo():
-        BatchHistogramSink.capture = original
+        BatchRunner._capture = original
 
     return undo
 
@@ -131,8 +136,8 @@ PERTURBATIONS = {
             install=_install_ib_take_extra_cycle),
         Perturbation(
             name="batch-capture-extra-count",
-            description="batch histogram sink adds 1 to nonstalled "
-                        "bucket 7 at capture (batch engine only)",
+            description="batch capture adds 1 to nonstalled bucket 7 "
+                        "of each fused capture (batch engine only)",
             expect=("batch-scalar-identity",),
             install=_install_batch_capture_extra_count),
         Perturbation(

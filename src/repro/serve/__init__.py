@@ -22,7 +22,7 @@ bucket rate-limits submissions.  Execution (:mod:`repro.serve.workers`)
 rides :func:`repro.workloads.parallel.run_tasks` — the same bounded
 retry and pool-death fallback the sweep runner uses — and co-queued
 ``engine="auto"`` characterize jobs that differ only in budget fuse
-through the lockstep batch engine (:mod:`repro.batch`).  ``SIGTERM``
+through the batch engine (:mod:`repro.batch`).  ``SIGTERM``
 drains: in-flight jobs finish and persist, new submissions get 503.
 
 Surfaces: ``POST /jobs``, ``GET /jobs/<id>``, ``GET /jobs``,

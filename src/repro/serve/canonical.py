@@ -90,17 +90,14 @@ class ServeRequest:
         """Auto-engine characterize jobs differing only in budget.
 
         The dispatcher runs one group as a single worker task: the
-        budgets become fused lanes of one lockstep batch run (see
+        budgets become fused lanes of one batch run (see
         :func:`repro.serve.workers.prefuse_characterize`).
         """
         if self.command != "characterize":
             return None
         canonical = self.canonical()
-        from repro.machines import DEFAULT_MACHINE
-
-        if canonical["engine"] != "auto" \
-                or canonical["machine"] != DEFAULT_MACHINE:
-            return None         # the lockstep batch engine is 780-only
+        if canonical["engine"] != "auto":
+            return None
         del canonical["instructions"]
         return f"{self.command}:" + json.dumps(canonical, sort_keys=True)
 

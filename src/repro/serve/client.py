@@ -9,7 +9,7 @@ Rejections surface as :class:`ServeError` carrying the HTTP status and
 the server's ``Retry-After`` hint, so callers can implement honest
 backoff::
 
-    client = ServeClient(port=8080)
+    client = ServeClient()              # a default ``repro serve``
     try:
         job = client.submit("characterize", {"smoke": True})
     except ServeError as exc:
@@ -22,6 +22,10 @@ from __future__ import annotations
 import http.client
 import json
 import time
+
+#: Where a default ``repro serve`` listens (``ServeConfig``'s defaults).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8080
 
 
 class ServeError(RuntimeError):
@@ -38,7 +42,7 @@ class ServeError(RuntimeError):
 class ServeClient:
     """Submit jobs and poll the server, synchronously."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 8080,
+    def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
                  url: str = None, name: str = None,
                  timeout: float = 60.0) -> None:
         if url is not None:

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import api, obs
 from repro.explore.store import ResultStore, code_version
 from repro.obs import metrics
 from repro.serve import canonical as _canonical
 from repro.serve import protocol
+from repro.serve.client import DEFAULT_HOST, DEFAULT_PORT
 from repro.serve.flow import RateLimiter, RetryEstimator
 from repro.serve.jobs import (DONE, FAILED, QUEUED, RUNNING, Job,
                               JobTable)
@@ -45,20 +46,35 @@ from repro.serve.workers import run_group
 from repro.workloads.parallel import run_tasks
 
 
+def _flag(default, help: str, **cli):
+    """A :class:`ServeConfig` field that is also a ``repro serve`` flag."""
+    return field(default=default, metadata={"help": help, **cli})
+
+
 @dataclass
 class ServeConfig:
-    """Everything ``repro serve`` can tune."""
+    """Everything ``repro serve`` can tune.
 
-    host: str = "127.0.0.1"
-    port: int = 0                 #: 0 = ephemeral; JobServer.port tells
-    queue_size: int = 64          #: bounded job queue (backpressure)
+    Each :func:`_flag` field is the ``repro serve`` option of the same
+    name (``--queue-size`` for ``queue_size``), default and help.
+    """
+
+    host: str = _flag(DEFAULT_HOST, "bind address (default %(default)s)")
+    port: int = _flag(DEFAULT_PORT,
+                      "bind port (default %(default)s; 0 = ephemeral, "
+                      "the actual port is printed at startup)")
+    queue_size: int = _flag(64, "bounded job queue depth; a full queue "
+                                "answers 429 + Retry-After")
     workers: int = 1              #: worker processes per round (1 = inline)
-    rate: float = None            #: per-client submissions/second (None = off)
-    burst: int = 8                #: per-client token-bucket capacity
+    rate: float = _flag(None, "per-client submission rate limit "
+                              "(default: unlimited)", metavar="PER_SEC")
+    burst: int = _flag(8, "per-client token-bucket capacity")
     store: str = ".explore/store"  #: shared result cache (None = off)
     engine: str = None            #: default engine for engine-less requests
     machine: str = None           #: default machine for machine-less requests
-    job_timeout: float = None     #: seconds per dispatcher round (None = off)
+    job_timeout: float = _flag(None, "per-round execution timeout; "
+                                     "timed-out jobs retry once, then "
+                                     "fail", metavar="SECS")
     job_retries: int = 1          #: re-runs after a round timeout
     round_limit: int = 16         #: max jobs drained into one round
     history: int = 512            #: finished jobs kept pollable by id

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
+from dataclasses import replace
 
 from repro.serve.client import ServeClient
 from repro.serve.server import JobServer, ServeConfig
@@ -28,7 +29,9 @@ class ServerThread:
     """Run a job server on its own loop thread, synchronously driven."""
 
     def __init__(self, config: ServeConfig = None) -> None:
-        self.config = config or ServeConfig()
+        # Always an ephemeral port, so servers never collide; ``port``
+        # tells which one was bound.
+        self.config = replace(config or ServeConfig(), port=0)
         self.server = JobServer(self.config)
         self.loop = None
         self._thread = None

@@ -10,7 +10,7 @@ metrics delta for the deterministic merge.
 A *group* is ``(command, [exec_kwargs, ...])``: a singleton for most
 jobs, or several co-queued ``engine="auto"`` characterize jobs that
 differ only in budget.  For those, :func:`prefuse_characterize` runs
-every (workload × budget) as lanes of one lockstep batch
+every (workload × budget) as lanes of one batch
 (:mod:`repro.batch`) — budget-only lanes fuse onto shared machines, so
 K co-queued budgets cost about one run of the largest — and primes the
 engine memo so the ordinary facade call then assembles each job's
@@ -83,20 +83,21 @@ def prefuse_characterize(payloads) -> int:
     from repro.workloads import engine as _engines
 
     lanes = []
-    seen = set()
     for kwargs in payloads:
         args = api.COMMANDS["characterize"].canonical(kwargs)
         for name in args["workloads"]:
-            key = (name, args["instructions"], args["seed"])
-            if key not in seen and not _engines.is_cached(*key):
-                seen.add(key)
-                lanes.append(LaneSpec(*key))
+            lane = LaneSpec(name, args["instructions"], args["seed"],
+                            machine=args["machine"])
+            if lane not in lanes and not _engines.is_cached(
+                    name, lane.instructions, lane.seed, lane.machine):
+                lanes.append(lane)
     if not lanes:
         return 0
     results = run_lanes(lanes)
     for lane, result in zip(lanes, results):
         _engines.prime_cache(lane.workload, lane.instructions,
-                             lane.seed, result.measurement)
+                             lane.seed, result.measurement,
+                             machine=lane.machine)
     metrics.counter("serve.fused_lanes").inc(len(lanes))
     return len(lanes)
 

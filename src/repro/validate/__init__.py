@@ -10,8 +10,8 @@ contracts into permanent, executable checks:
 * :mod:`repro.validate.differential` — the optimised EBOX fast paths run
   in lockstep against the per-cycle reference implementations on seeded
   random workloads, with failing runs shrunk to a minimal reproducer;
-  a second axis differences the lockstep batch engine
-  (:mod:`repro.batch`) against independent scalar runs the same way.
+  a second axis differences the batch engine (:mod:`repro.batch`)
+  against independent scalar runs the same way.
 * :mod:`repro.validate.paranoid` — a boundary-hook monitor that samples
   the invariants during long runs at bounded overhead.
 """

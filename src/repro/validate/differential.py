@@ -366,9 +366,9 @@ def fuzz(count: int, seed: int, instructions: int = 400,
                       kind="reference", jobs=jobs, plant=plant)
 
 
-# -- scalar <-> batch lockstep ------------------------------------------
+# -- scalar <-> batch ----------------------------------------------------
 #
-# The second differential axis: the lockstep batch engine
+# The second differential axis: the batch engine
 # (:mod:`repro.batch`) against independent scalar runs of the same
 # case.  Each case runs at several prefix boundaries so the fuzz
 # exercises exactly what makes the batch engine dangerous — mid-run

@@ -171,14 +171,12 @@ def run_many(workloads=None, instructions: int = DEFAULT_INSTRUCTIONS,
     whole set before anything simulates.  With ``jobs > 1`` the
     independent simulations are distributed over worker processes (see
     :mod:`repro.workloads.parallel`); with ``engine="batch"`` (or
-    ``"auto"``) they run as one in-process lockstep batch instead (see
+    ``"auto"``) they run as lanes of one in-process batch instead (see
     :mod:`repro.batch`).  Both paths are bit-identical to the serial
     loop, so results memoise under the same per-workload keys.
     ``paranoid`` forces the serial scalar path (the monitor hooks one
-    live machine in this process); a non-default ``machine`` or a
-    trace-backed workload in the set also forces scalar (lockstep
-    fusion shares one 780 timing model across lanes, and a replay is
-    pinned to its recording).
+    live machine in this process); a trace-backed workload in the set
+    also forces scalar (a replay is pinned to its recording).
     """
     from repro.batch import validate_engine
 
@@ -190,25 +188,23 @@ def run_many(workloads=None, instructions: int = DEFAULT_INSTRUCTIONS,
     for spec in specs:
         spec.check_machine(machine)
     engine = validate_engine(engine)
-    has_trace = any(spec.trace is not None for spec in specs)
-    if paranoid or machine != DEFAULT_MACHINE or has_trace:
+    if paranoid or any(spec.trace is not None for spec in specs):
         jobs = 1 if paranoid else jobs
         engine = "scalar"
     if engine == "auto":
-        # The batch path needs no spare cores and shares one histogram
-        # sink, so auto prefers it whenever a pool was not requested.
+        # The batch path needs no spare cores, so auto prefers it
+        # whenever a pool was not requested.
         engine = "scalar" if jobs > 1 else "batch"
     todo = [spec for spec in specs
             if (spec.name, instructions, seed, machine) not in _CACHE]
     if engine == "batch" and todo:
-        from repro.workloads.parallel import run_standard_batch
+        from repro.batch import LaneSpec, run_lanes
 
-        fresh = run_standard_batch(
-            instructions, seed,
-            profiles=[spec.profile for spec in todo])
-        for spec in todo:
-            _CACHE[(spec.name, instructions, seed, machine)] = \
-                fresh[spec.name]
+        lanes = [LaneSpec(spec.name, instructions, seed, machine=machine)
+                 for spec in todo]
+        for lane, result in zip(lanes, run_lanes(lanes)):
+            _CACHE[(lane.workload, instructions, seed, machine)] = \
+                result.measurement
     elif jobs > 1 and len(todo) > 1:
         from repro.workloads.parallel import run_standard_parallel
 
@@ -281,7 +277,7 @@ def prime_cache(name: str, instructions: int, seed: int, measurement,
                 machine: str = DEFAULT_MACHINE) -> None:
     """Memoise a measurement produced elsewhere under its run key.
 
-    The lockstep batch engine's lanes are bit-identical to
+    The batch engine's lanes are bit-identical to
     :func:`run_workload`, so a caller that already holds a lane's
     measurement (the serve dispatcher fusing co-queued budgets) may
     pre-seed the memo and let the ordinary facade path find it.

@@ -143,30 +143,6 @@ def run_tasks(worker, tasks, jobs: int = None, retries: int = 1) -> list:
     return out
 
 
-def run_standard_batch(instructions: int, seed: int = 1984,
-                       profiles=None) -> dict:
-    """Run workload experiments as one lockstep batch.
-
-    The alternative to the process pool on hosts without spare cores:
-    the selected workloads (default: the paper's five) become lanes of
-    a single :class:`repro.batch.BatchRunner`, advancing in lockstep
-    and accumulating their histograms in one struct-of-arrays sink.
-    Results are bit-identical to the serial path — same boot, same
-    measured loop, same capture — so callers memoise them under the
-    same per-workload keys.
-    """
-    from repro.batch import LaneSpec, run_lanes
-    from repro.workloads.registry import paper_workloads
-
-    if profiles is None:
-        profiles = [spec.profile for spec in paper_workloads()]
-    lanes = [LaneSpec(profile.name, instructions, seed)
-             for profile in profiles]
-    results = run_lanes(lanes, profiles=profiles)
-    return {profile.name: result.measurement
-            for profile, result in zip(profiles, results)}
-
-
 def _run_one(task) -> "Measurement":
     """Worker entry point (top-level, so it pickles): one experiment."""
     name, instructions, seed, machine = task

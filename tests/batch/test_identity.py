@@ -4,9 +4,9 @@ Every observable a Measurement carries — cycle count, both histogram
 count sets bucket by bucket, every tracer scalar and counter, every
 memory-subsystem statistic — must be equal bit for bit between a batch
 lane and an independent scalar run of the same (workload, budget,
-seed).  That includes the failure modes: a lane that hits the cycle
-limit or a halted machine must reproduce the scalar engine's exact
-RuntimeError message.
+seed, params, machine), on every machine backend.  That includes the
+failure modes: a lane that hits the cycle limit or a halted machine
+must reproduce the scalar engine's exact RuntimeError message.
 """
 
 from dataclasses import replace
@@ -15,9 +15,9 @@ import pytest
 
 from repro.analysis.measurement import Measurement, composite
 from repro.batch import LaneSpec, run_lanes
-from repro.batch.engine import HALTED_ERROR
 from repro.cpu.machine import VAX780
-from repro.osim.executive import Executive
+from repro.machines.registry import get_machine
+from repro.osim.executive import HALTED_ERROR, Executive
 from repro.validate.differential import _MEMORY_FIELDS
 from repro.workloads.profiles import STANDARD_PROFILES, \
     TIMESHARING_RESEARCH
@@ -39,14 +39,19 @@ LIMITED = replace(GATED, name="limited-mix",
                   description="cycle-limit stress",
                   clock_period_cycles=1000, io_block_cycles=1_000_000)
 
+#: A params override: its lanes fuse into a cohort of their own.
+OVERRIDES = (("cache_bytes", 4096),)
 
-def scalar_measure(profile, instructions, seed) -> Measurement:
+
+def scalar_measure(profile, instructions, seed, machine="vax780",
+                   overrides=()) -> Measurement:
     """One fresh scalar-engine run — the reference side."""
-    machine = VAX780()
-    executive = Executive(machine, profile, seed=seed)
+    spec = get_machine(machine)
+    sim = spec.build(spec.params.with_overrides(**dict(overrides)))
+    executive = Executive(sim, spec.adapt_profile(profile), seed=seed)
     executive.boot()
     executive.run(instructions)
-    return Measurement.capture(profile.name, machine)
+    return Measurement.capture(profile.name, sim)
 
 
 def assert_identical(batch: Measurement, scalar: Measurement) -> None:
@@ -64,34 +69,57 @@ def assert_identical(batch: Measurement, scalar: Measurement) -> None:
             getattr(scalar.memory, name), f"memory.{name}"
 
 
-@pytest.fixture(scope="module")
-def five_workload_batch():
-    """All five workloads, two fused budgets each, one batch run."""
-    lanes = []
-    for profile in STANDARD_PROFILES:
-        lanes.append(LaneSpec(profile.name, PREFIX, 1984))
-        lanes.append(LaneSpec(profile.name, BUDGET, 1984))
-    results = run_lanes(lanes)
-    return {(r.spec.workload, r.spec.instructions): r.measurement
-            for r in results}
-
-
 class TestFiveWorkloads:
+    """Fused lanes on the 780; the subclass below reruns them on the
+    MicroVAX."""
+
+    MACHINE = "vax780"
+
+    @pytest.fixture(scope="class")
+    def five_workload_batch(self):
+        """All five workloads at two fused budgets, plus one overridden
+        cohort, in one batch run."""
+        lanes = [LaneSpec(profile.name, target, 1984,
+                          machine=self.MACHINE)
+                 for profile in STANDARD_PROFILES
+                 for target in (PREFIX, BUDGET)]
+        lanes += [LaneSpec(TIMESHARING_RESEARCH.name, target, 1984,
+                           OVERRIDES, self.MACHINE)
+                  for target in (PREFIX, BUDGET)]
+        results = run_lanes(lanes)
+        return {(r.spec.workload, r.spec.instructions,
+                 r.spec.overrides): r.measurement for r in results}
+
     @pytest.mark.parametrize("profile", STANDARD_PROFILES,
                              ids=lambda p: p.name)
     @pytest.mark.parametrize("target", (PREFIX, BUDGET))
     def test_lane_matches_scalar_run(self, five_workload_batch,
                                      profile, target):
-        batch = five_workload_batch[(profile.name, target)]
-        assert_identical(batch,
-                         scalar_measure(profile, target, 1984))
+        batch = five_workload_batch[(profile.name, target, ())]
+        assert_identical(batch, scalar_measure(profile, target, 1984,
+                                               self.MACHINE))
+
+    @pytest.mark.parametrize("target", (PREFIX, BUDGET))
+    def test_overridden_lane_matches_scalar_run(self, five_workload_batch,
+                                                target):
+        batch = five_workload_batch[(TIMESHARING_RESEARCH.name, target,
+                                     OVERRIDES)]
+        assert_identical(batch, scalar_measure(
+            TIMESHARING_RESEARCH, target, 1984, self.MACHINE, OVERRIDES))
+
+
+class TestFiveWorkloadsOnMicroVAX(TestFiveWorkloads):
+    MACHINE = "uvax78032"
 
 
 class TestComposite:
     def test_batched_standard_runs_compose_identically(self):
-        from repro.workloads.parallel import run_standard_batch
+        from repro.obs import metrics
+        from repro.workloads import engine
 
-        batched = run_standard_batch(600, seed=7)
+        lanes = metrics.counter("batch.lanes").value
+        batched = engine.run_many(None, 600, seed=7, engine="batch")
+        assert metrics.counter("batch.lanes").value - lanes == 5
         scalar = {p.name: scalar_measure(p, 600, 7)
                   for p in STANDARD_PROFILES}
         assert list(batched) == [p.name for p in STANDARD_PROFILES]
@@ -115,17 +143,6 @@ class TestComposite:
                 results[profile.name]
             assert_identical(results[profile.name],
                              scalar_measure(profile, 500, 11))
-
-
-class TestQuantumInvariance:
-    def test_odd_quantum_changes_nothing(self):
-        """The lockstep pause points are invisible to the machine."""
-        lanes = [LaneSpec(TIMESHARING_RESEARCH.name, PREFIX, 1984),
-                 LaneSpec(TIMESHARING_RESEARCH.name, BUDGET, 1984)]
-        coarse = run_lanes(lanes)
-        fine = run_lanes(lanes, quantum=7)
-        for a, b in zip(coarse, fine):
-            assert_identical(a.measurement, b.measurement)
 
 
 class TestGatedLane:

@@ -1,9 +1,11 @@
-"""Lane planning, struct-of-arrays state, the sink, engine validation."""
+"""Lane planning, cohort lifetime, engine validation."""
+
+import gc
+import weakref
 
 import pytest
 
-from repro.batch import (BatchHistogramSink, BatchRunner, ENGINES,
-                         EngineError, LaneArrays, LaneSpec,
+from repro.batch import (BatchRunner, ENGINES, EngineError, LaneSpec,
                          plan_cohorts, validate_engine)
 
 
@@ -49,78 +51,18 @@ class TestPlanCohorts:
                  LaneSpec("w", 100, 1, {"tb_rows": 64})]
         assert len(plan_cohorts(lanes)) == 4
 
+    def test_machine_splits(self):
+        lanes = [LaneSpec("w", 100, 1), LaneSpec("w", 200, 1),
+                 LaneSpec("w", 100, 1, machine="uvax78032"),
+                 LaneSpec("w", 200, 1, machine="uvax78032")]
+        cohorts = plan_cohorts(lanes)
+        assert [(c.machine, c.targets) for c in cohorts] == \
+            [("vax780", (100, 200)), ("uvax78032", (100, 200))]
+
     def test_first_seen_order_preserved(self):
         lanes = [LaneSpec("b", 100, 1), LaneSpec("a", 100, 1),
                  LaneSpec("b", 200, 1)]
         assert [c.workload for c in plan_cohorts(lanes)] == ["b", "a"]
-
-
-class _FakeEBox:
-    def __init__(self, pc, now):
-        self.pc, self.now = pc, now
-
-
-class _FakeTracer:
-    def __init__(self, instructions):
-        self.instructions = instructions
-
-
-class _FakeMachine:
-    def __init__(self, pc, now, instructions):
-        self.ebox = _FakeEBox(pc, now)
-        self.tracer = _FakeTracer(instructions)
-
-
-class TestLaneArrays:
-    def test_vectorized_reductions(self):
-        arrays = LaneArrays(3)
-        arrays.update(0, _FakeMachine(0x200, 900, 100), target=100,
-                      cycle_limit=40_000, done=True, failed=False)
-        arrays.update(1, _FakeMachine(0x300, 500, 60), target=200,
-                      cycle_limit=80_000, done=False, failed=False)
-        arrays.update(2, _FakeMachine(0x400, 700, 10), target=50,
-                      cycle_limit=20_000, done=False, failed=True)
-        assert arrays.live() == 1
-        assert list(arrays.live_mask()) == [False, True, False]
-        assert arrays.remaining() == 140
-        snap = arrays.snapshot()
-        assert snap["pc"] == [0x200, 0x300, 0x400]
-        assert snap["now"] == [900, 500, 700]
-        assert snap["done"] == [1, 0, 0]
-        assert snap["failed"] == [0, 0, 1]
-
-
-class _FakeBoard:
-    """Two tiny count sets standing in for a live HistogramBoard."""
-
-    def __init__(self, size, bump):
-        self.nonstalled = [bump + i for i in range(size)]
-        self.stalled = [2 * bump + i for i in range(size)]
-
-
-class TestBatchHistogramSink:
-    def test_rows_read_back_and_composite_sums(self):
-        sink = BatchHistogramSink(2, size=8)
-        sink.capture(0, _FakeBoard(8, 1))
-        sink.capture(1, _FakeBoard(8, 5))
-        assert list(sink.histogram(0).nonstalled) == \
-            [1 + i for i in range(8)]
-        total = sink.composite()
-        assert list(total.nonstalled) == [6 + 2 * i for i in range(8)]
-        assert list(total.stalled) == [12 + 2 * i for i in range(8)]
-
-    def test_double_capture_rejected(self):
-        sink = BatchHistogramSink(1, size=4)
-        sink.capture(0, _FakeBoard(4, 1))
-        with pytest.raises(ValueError, match="captured twice"):
-            sink.capture(0, _FakeBoard(4, 2))
-
-    def test_uncaptured_rows_rejected(self):
-        sink = BatchHistogramSink(2, size=4)
-        with pytest.raises(ValueError, match="not captured"):
-            sink.histogram(1)
-        with pytest.raises(ValueError, match="no captured rows"):
-            sink.composite()
 
 
 class TestValidateEngine:
@@ -152,11 +94,31 @@ class TestBatchRunnerValidation:
         with pytest.raises(ValueError, match="at least one lane"):
             BatchRunner([])
 
-    def test_nonpositive_quantum_rejected(self):
-        with pytest.raises(ValueError, match="quantum"):
-            BatchRunner([LaneSpec("timesharing-research", 10, 1)],
-                        quantum=0)
-
     def test_unknown_workload_lists_the_valid_ones(self):
         with pytest.raises(ValueError, match="unknown workload 'nope'"):
             BatchRunner([LaneSpec("nope", 10, 1)])
+
+
+class TestCohortLifetime:
+    def test_each_machine_is_released_before_the_next_boot(
+            self, monkeypatch):
+        """One cohort's machine at a time: the previous one is garbage
+        by the time the next cohort boots."""
+        booted = []
+        real_boot = BatchRunner._boot
+
+        def boot(self, *args):
+            gc.collect()
+            assert [ref() for ref in booted] == [None] * len(booted)
+            state = real_boot(self, *args)
+            booted.append(weakref.ref(state.machine))
+            return state
+
+        monkeypatch.setattr(BatchRunner, "_boot", boot)
+        lanes = [LaneSpec(name, budget, 1984)
+                 for name in ("timesharing-research", "rte-commercial",
+                              "rte-scientific")
+                 for budget in (20, 40)]
+        results = BatchRunner(lanes).run()
+        assert len(booted) == 3
+        assert all(result.ok for result in results)

@@ -11,6 +11,12 @@ FUSING = SweepSpec(
     "fusing", (Axis("instructions", (300, 600, 900)),),
     instructions=300, workloads=("timesharing-research",))
 
+#: The same budget axis on the MicroVAX backend.
+UVAX_FUSING = SweepSpec(
+    "fusing-uvax", (Axis("instructions", (300, 600, 900)),),
+    instructions=300, workloads=("timesharing-research",),
+    machine="uvax78032")
+
 #: Param-axis sweep: every point is its own cohort; auto stays scalar.
 SPLITTING = SweepSpec(
     "splitting", (Axis("overlapped_decode", (False, True)),),
@@ -46,6 +52,15 @@ class TestAutoSelection:
     def test_auto_fuses_a_budget_axis(self):
         sweep = run_sweep(FUSING, engine="auto")
         assert sweep.stats["engine"] == "batch"
+
+    def test_auto_fuses_a_budget_axis_on_the_microvax(self):
+        scalar = run_sweep(UVAX_FUSING, jobs=1, engine="scalar")
+        auto = run_sweep(UVAX_FUSING, engine="auto")
+        assert auto.stats["engine"] == "batch"
+        for a, b in zip(scalar.points, auto.points):
+            assert a["records"] == b["records"]
+            assert b["records"]["timesharing-research"]["machine"] \
+                == "uvax78032"
 
     def test_auto_stays_scalar_when_nothing_fuses(self):
         sweep = run_sweep(SPLITTING, jobs=1, engine="auto")

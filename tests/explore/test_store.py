@@ -190,7 +190,7 @@ class TestHashedPaths:
         paths = hashed_paths()
         for path in ("cpu/ebox.py", "osim/executive.py",
                      "batch/engine.py", "batch/lanes.py",
-                     "batch/histograms.py", "batch/__init__.py"):
+                     "batch/__init__.py"):
             assert path in paths
 
     def test_observers_and_presenters_are_not(self):

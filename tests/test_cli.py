@@ -27,6 +27,14 @@ class TestCLI:
         assert "movl    s^#5, r0" in out
         assert "halt" in out
 
+    def test_disasm_missing_file_exits_2_with_one_line(self, tmp_path,
+                                                       capsys):
+        missing = tmp_path / "MISSING.mar"
+        assert main(["disasm", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot read" in err and "MISSING.mar" in err
+
     def test_run_workload(self, capsys):
         assert main(["run-workload", "research",
                      "--instructions", "2500"]) == 0

@@ -93,13 +93,11 @@ class TestFlagScope:
                 assert expected != action.default, (command, flag)
                 assert kwargs[action.dest] == expected, (command, flag)
             # Unset value flags are not passed: the signature owns
-            # their defaults.  (record-trace's --out alone defaults on
-            # the command line, to <workload>.rprt.)
+            # their defaults.
             unset = _capture(monkeypatch, command, positionals)
             for flag, action in _options(parser).items():
                 if action.dest in declaration.params \
-                        and action.nargs != 0 \
-                        and (command, flag) != ("record-trace", "--out"):
+                        and action.nargs != 0:
                     assert action.dest not in unset, (command, flag)
 
     def test_positionals_reach_the_facade(self, monkeypatch, tmp_path):
@@ -170,6 +168,42 @@ class TestSharedFlagSet:
         assert list(choices) == [*api.COMMANDS, "serve", "submit"]
         for command in api.COMMANDS.values():
             assert command.help and "\n" not in command.help
+
+
+class TestServeFlags:
+    def test_each_serve_flag_defaults_to_its_config_field(self):
+        from dataclasses import fields
+
+        from repro.serve import ServeConfig
+
+        parser, choices = _subparsers()
+        options = _options(choices["serve"])
+        args = parser.parse_args(["serve"])
+        flagged = [spec for spec in fields(ServeConfig) if spec.metadata]
+        assert [spec.name for spec in flagged] == [
+            "host", "port", "queue_size", "rate", "burst", "job_timeout"]
+        for spec in flagged:
+            flag = "--" + spec.name.replace("_", "-")
+            assert options[flag].default == spec.default, flag
+            assert getattr(args, spec.name) == spec.default, flag
+
+    def test_submit_and_client_meet_a_default_server(self):
+        from repro.serve import ServeClient, ServeConfig
+
+        parser, _ = _subparsers()
+        url = parser.parse_args(["submit", "characterize"]).url
+        client = ServeClient(url=url)
+        default = ServeConfig()
+        assert (client.host, client.port) == (default.host, default.port)
+        assert (ServeClient().host, ServeClient().port) \
+            == (default.host, default.port)
+        assert default.port != 0
+
+    def test_test_servers_bind_an_ephemeral_port(self):
+        from repro.serve import ServeConfig
+        from repro.serve.testing import ServerThread
+
+        assert ServerThread(ServeConfig(store=None)).config.port == 0
 
 
 class TestArgparseStaysInCli:

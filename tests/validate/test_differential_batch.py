@@ -1,15 +1,15 @@
 """The scalar<->batch differential axis: clean runs agree, planted
 corruption is caught and shrinks to a minimal budget.
 
-The broken-engine test plants its bug in the batch side's histogram
-sink — a single corrupted bucket — and demands the harness name the
-divergent field exactly and shrink the reproducer to the first capture
-boundary that exhibits it.
+The broken-engine test installs the ``batch-capture-extra-count``
+plant — a single corrupted bucket in every batch capture — and demands
+the harness name the divergent field exactly and shrink the reproducer
+to the first capture boundary that exhibits it.
 """
 
 import pytest
 
-from repro.batch import BatchHistogramSink
+from repro.refute.perturb import perturbation
 from repro.validate.differential import (FuzzCase, batch_targets,
                                          fuzz_batch, run_case_batch,
                                          shrink_batch)
@@ -48,16 +48,10 @@ class TestCleanEngines:
 
 class TestBrokenSink:
     @pytest.fixture
-    def corrupted_bucket(self, monkeypatch):
-        """Plant a one-count error in bucket 7 of every captured row."""
-        real_capture = BatchHistogramSink.capture
-
-        def capture(self, row, board):
-            histogram = real_capture(self, row, board)
-            self.nonstalled[row, 7] += 1
-            return self.histogram(row)
-
-        monkeypatch.setattr(BatchHistogramSink, "capture", capture)
+    def corrupted_bucket(self):
+        """Plant a one-count error in bucket 7 of every capture."""
+        with perturbation("batch-capture-extra-count"):
+            yield
 
     def test_divergence_names_the_corrupted_bucket(self,
                                                    corrupted_bucket):

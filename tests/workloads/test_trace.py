@@ -149,6 +149,14 @@ class TestHostileFiles:
 
 
 class TestApiRecordTrace:
+    def test_path_defaults_to_the_workload_name(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = api.record_trace("rte-educational", smoke=True,
+                                  seed=SEED, register=False)
+        assert result.path == "rte-educational.rprt"
+        assert (tmp_path / "rte-educational.rprt").exists()
+
     def test_api_record_trace_registers_and_reports(self, tmp_path):
         path = tmp_path / "api.rprt"
         try:

@@ -21,7 +21,7 @@ same protocol on the same host, back to back.
 The JSON accumulates one entry per label plus ``speedup`` (the
 composite before/after ratio), ``speedups`` (per-section ratios,
 > 1 = faster) and ``batch`` (the paired scalar-vs-batch sweep timing
-from the lockstep batch engine) computed when present.
+from the batch engine) computed when present.
 """
 
 import argparse
@@ -216,7 +216,7 @@ def measure_obs(instructions: int, seed: int, repeats: int) -> dict:
 
 
 def measure_batch(repeats: int) -> dict:
-    """Pair a serial scalar sweep against the lockstep batch engine.
+    """Pair a serial scalar sweep against the batch engine.
 
     The sweep is a 12-point measurement-window convergence study — one
     workload, the ``instructions`` axis from 2,000 to 24,000 — the
