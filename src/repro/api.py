@@ -123,10 +123,17 @@ def _machine(value):
 
 def _budget(instructions, smoke: bool,
             default: int = DEFAULT_INSTRUCTIONS) -> int:
-    """An explicit budget wins; else ``smoke``'s fixed one or ``default``."""
-    if instructions is not None:
-        return instructions
-    return SMOKE_INSTRUCTIONS if smoke else default
+    """An explicit budget wins; else ``smoke``'s fixed one or ``default``.
+
+    A run measures at least one instruction, so an explicit budget
+    below 1 raises :class:`ApiError`.
+    """
+    if instructions is None:
+        return SMOKE_INSTRUCTIONS if smoke else default
+    if instructions < 1:
+        raise ApiError("field 'instructions' must be a positive budget, "
+                       f"got {instructions}")
+    return instructions
 
 
 def _workload(value, machine_name: str = None):
@@ -188,8 +195,13 @@ def _tables(table) -> tuple:
     """Resolve a ``table`` argument: ``"all"``/None, one key, or keys."""
     if table in ("all", None):
         return tuple(TABLES)
-    keys = (table,) if isinstance(table, str) \
-        else tuple(str(key) for key in table)
+    try:
+        keys = (table,) if isinstance(table, str) \
+            else tuple(str(key) for key in table)
+    except TypeError:
+        raise ApiError(f"field 'table' must be a table key or a list of "
+                       f"keys ({', '.join(TABLES)}) or 'all'; got "
+                       f"{table!r}") from None
     for key in keys:
         if key not in TABLES:
             raise ApiError(f"unknown table {key!r}; choose from "
@@ -265,10 +277,14 @@ SHARED_PARAMS = {
     "smoke": Param(bool, "small fixed budgets / subsets (CI smoke run)"),
     "store": Param(str, "explore result store directory "
                         "(default: .explore/store)"),
-    "engine": Param(None, "execution engine: scalar (default), batch "
-                          "(fused many-lane engine, bit-identical "
-                          "results), or auto; validated before "
-                          "anything simulates"),
+    "engine": Param(None, "budget-only fusion: batch runs lanes that "
+                          "differ only in budget on one machine, scalar "
+                          "(default) gives each its own, auto fuses "
+                          "when any would (explore, co-queued serve "
+                          "jobs; characterize runs the same lanes under "
+                          "every value; validate --fuzz checks the named "
+                          "engine); results are bit-identical; "
+                          "validated before anything simulates"),
     "machine": Param(str, "machine backend: vax780 (default, the "
                           "paper's machine) or uvax78032 (MicroVAX "
                           "subset VAX); see 'repro machines'; validated "
@@ -405,10 +421,15 @@ def characterize(instructions: int = None, seed: int = 1984,
     ``table`` selects what to compute: ``"all"``, one key (``"1"``
     ... ``"9"``, ``"s4"``), or an iterable of keys.  Unknown keys raise
     :class:`ApiError` before the (expensive) composite run, as do an
-    unknown ``engine`` (scalar, batch, or auto; results are
-    bit-identical, see :mod:`repro.batch`), an unknown ``machine``
-    (a registered backend, see :mod:`repro.machines`), and an unknown,
-    machine-refused or empty workload selection.
+    unknown ``engine``, an unknown ``machine`` (a registered backend,
+    see :mod:`repro.machines`), and an unknown, machine-refused or
+    empty workload selection.
+
+    The composite's workloads run as lanes of the cohort runner
+    (:mod:`repro.batch`) under every ``engine`` value — lanes that
+    differ by workload never share a machine — so ``engine`` is
+    validated and reported but changes nothing here; it decides
+    budget-only fusion only for co-queued jobs on the job server.
     """
     args = _characterize_args(locals())
     instructions = args["instructions"]
@@ -416,8 +437,8 @@ def characterize(instructions: int = None, seed: int = 1984,
                jobs=jobs, engine=args["engine"], machine=args["machine"]):
         measurement = _engines.standard_composite(
             instructions=instructions, seed=seed, jobs=jobs,
-            paranoid=paranoid, engine=args["engine"],
-            machine=args["machine"], workloads=args["workloads"])
+            paranoid=paranoid, machine=args["machine"],
+            workloads=args["workloads"])
         rendered = tuple(
             {"table": key,
              "text": TABLES[key][1](TABLES[key][0](measurement))}
@@ -543,6 +564,7 @@ def hotspots(instructions: int = 20_000, top: int = 20,
 
     if smoke:
         instructions = min(instructions, SMOKE_INSTRUCTIONS)
+    instructions = _budget(instructions, smoke)
     with _span("hotspots", instructions=instructions, top=top):
         measurement = _engines.run_workload(
             _registry.DEFAULT_WORKLOAD, instructions, seed=seed)
@@ -826,6 +848,7 @@ def ubench(group: str = None, mode: str = None, variant: str = None,
 
     machine_name = _machine(machine)
     kernels = _kernels(group, mode, variant, smoke, machine_name)
+    check_instructions = _budget(check_instructions, False)
     with _span("ubench", kernels=len(kernels), jobs=jobs,
                machine=machine_name):
         results = runner.run_suite(kernels, jobs=jobs,
@@ -896,7 +919,7 @@ def explore_spec(spec: str = "paper-sensitivity", axes=(),
     """
     from dataclasses import replace
 
-    from repro.explore import SPECS, SpaceError, parse_axis
+    from repro.explore import SPECS, Axis, SpaceError, parse_axis
     from repro.explore.space import WORKLOAD_AXIS
 
     if not isinstance(axes, (list, tuple)):
@@ -912,6 +935,10 @@ def explore_spec(spec: str = "paper-sensitivity", axes=(),
                 axis = parse_axis(axis)
             except SpaceError as exc:
                 raise ApiError(str(exc)) from exc
+        elif not isinstance(axis, Axis):
+            raise ApiError(
+                "explore: each entry of field 'axes' must be a "
+                f"NAME=V1,V2 string, got {axis!r}")
         if axis.name == WORKLOAD_AXIS:
             sweep_workloads = tuple(axis.values)
             continue
@@ -1006,11 +1033,13 @@ def explore(spec: str = "paper-sensitivity", axes=(), mode: str = None,
 
     ``store`` is a directory path, a ResultStore, or None (no
     persistence).  ``progress`` is an optional ``callable(str)``.
-    ``engine`` selects the execution engine (scalar, batch, or auto —
-    batch fuses budget-only point variants onto shared machines; the
-    records are bit-identical); ``machine`` re-baselines the sweep on a
-    registered backend.  An unknown engine or machine name raises
-    :class:`ApiError` before anything simulates.
+    Every point runs through the cohort runner (:mod:`repro.batch`);
+    ``engine`` only decides whether budget-only point variants share a
+    machine — ``batch`` fuses them, ``scalar`` does not, ``auto`` fuses
+    when any would — and the records are bit-identical either way.
+    ``machine`` re-baselines the sweep on a registered backend.  An
+    unknown engine or machine name raises :class:`ApiError` before
+    anything simulates.
     """
     from repro.explore import ResultStore, run_sweep, sensitivity
 

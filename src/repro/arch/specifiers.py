@@ -39,13 +39,6 @@ class AddressingMode(enum.Enum):
     RELATIVE_DEFERRED = "relative_deferred"  # modes B/D/F, Rn=PC
 
     @property
-    def is_memory(self) -> bool:
-        """True when the operand datum lives in memory."""
-        return self not in (AddressingMode.SHORT_LITERAL,
-                            AddressingMode.REGISTER,
-                            AddressingMode.IMMEDIATE)
-
-    @property
     def table4_category(self) -> str:
         """The row of the paper's Table 4 this mode is tallied under."""
         return _TABLE4_CATEGORY[self]
@@ -128,12 +121,6 @@ class Specifier:
         if self.indexed:
             parts.append(f", [R{self.index_register}]")
         return "".join(parts) + ")"
-
-
-def displacement_mode_nibble(size: int, deferred: bool) -> int:
-    """Encode a displacement width into the mode nibble (0xA..0xF)."""
-    base = {1: 0xA, 2: 0xC, 4: 0xE}[size]
-    return base + (1 if deferred else 0)
 
 
 def pc_relative_mode(mode: AddressingMode, register: int) -> AddressingMode:

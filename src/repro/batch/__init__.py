@@ -1,15 +1,20 @@
-"""repro.batch: the batch execution engine.
+"""repro.batch: the cohort runner, the one path every run takes.
 
-A second way to run measurements: many lanes (workload × params ×
-budget × seed × machine), with budget-only variants fused onto shared
-machines and each cohort run once through the scalar run loop, one
-cohort at a time — results bit-identical to the scalar engine lane for
-lane.  See :mod:`repro.batch.lanes` for the fusion rule and
+Measurements are requested as lanes (workload × params × budget × seed
+× machine).  The runner groups them into cohorts, boots one machine per
+cohort, runs it through the scalar run loop to each budget and
+captures there, one cohort at a time in this process or fanned out
+over worker processes — results bit-identical to an independent
+:meth:`~repro.osim.executive.Executive.run` lane for lane.  The
+workload engine, design-space sweeps and serve's fusion all run
+through it.  See :mod:`repro.batch.lanes` for the fusion rule and
 :mod:`repro.batch.engine` for the identity argument.
 
 Engine selection (``--engine`` on the CLI, ``engine=`` on the facade)
-is validated here so every entry point rejects a bad name the same
-way, before any simulation runs.
+decides only whether lanes that differ in budget alone share a machine
+(``batch``) or not (``scalar``; ``auto`` fuses when any would).  It is
+validated here so every entry point rejects a bad name the same way,
+before any simulation runs.
 """
 
 from __future__ import annotations

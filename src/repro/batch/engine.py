@@ -1,30 +1,44 @@
-"""The batch runner: one cohort at a time through the scalar run loop.
+"""The cohort runner: the one path that boots, runs and captures.
 
 :class:`BatchRunner` executes a list of :class:`~repro.batch.lanes.LaneSpec`
-requests by fusing budget-only variants into cohorts.  Each cohort boots
-one machine through the machine registry, exactly as a scalar run
-does, runs it to each of its capture boundaries in ascending order
-with :func:`repro.osim.executive.run_until` — the loop
-:meth:`~repro.osim.executive.Executive.run` itself uses — and captures
-a :class:`~repro.analysis.measurement.Measurement` at each.  The
-machine is dropped before the next cohort boots, so only one is alive
-at a time.
+requests by fusing budget-only variants into cohorts (or, with
+``fuse=False``, giving every lane its own).  Each cohort boots one
+machine through the machine registry, runs it to each of its capture
+boundaries in ascending order with :func:`repro.osim.executive.run_until`
+— the loop :meth:`~repro.osim.executive.Executive.run` itself uses — and
+captures a :class:`~repro.analysis.measurement.Measurement` at each.
+The machine is dropped before the next cohort boots, so only one is
+alive at a time.  A one-lane cohort *is* the scalar run, so the
+workload engine (:mod:`repro.workloads.engine`), design-space sweeps
+(:mod:`repro.explore.runner`) and serve's fusion all simulate here.
+
+Around each cohort the runner installs the passive boundary hooks a
+measured run may carry: the obs :class:`~repro.obs.ProgressSampler`
+when an observation is active, and with ``paranoid`` the
+:class:`~repro.validate.paranoid.ParanoidMonitor`.  With ``jobs > 1``
+cohorts fan out over worker processes
+(:func:`repro.workloads.parallel.run_tasks`) in shards of ``2 × jobs``,
+and ``on_result`` then fires for each lane in the calling process as
+its shard lands, instead of per capture.  A paranoid run stays in this
+process, so a violation raises once rather than through the pool's
+retries.
 
 Bit-identity contract: each lane's measurement equals, bit for bit,
-what the scalar path (:func:`repro.workloads.engine.run_workload` /
-``explore``'s per-task worker) produces for the same (workload,
-params, instructions, seed, machine) — including the two failure
-modes, which reproduce the scalar engine's exact :class:`RuntimeError`
+what an independent :meth:`Executive.run` produces for the same
+(workload, params, instructions, seed, machine) — including the two
+failure modes, which reproduce its exact :class:`RuntimeError`
 messages.  Resuming the loop toward a larger budget is invisible to
 the machine: the loop's checks at each state only read it, and a
 capture is passive (``settle_gate`` is idempotent and the board is
 only read), as the µPC monitor's board is on the real 780.  The
-scalar↔batch differential fuzzer (:mod:`repro.validate.differential`)
-enforces the contract on randomly perturbed profiles.
+differential fuzzer (:mod:`repro.validate.differential`) enforces the
+contract on randomly perturbed profiles.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from repro import obs
@@ -60,9 +74,15 @@ class _CohortState:
 
 
 class BatchRunner:
-    """Run lanes cohort by cohort; results in input-lane order."""
+    """Run lanes cohort by cohort; results in input-lane order.
 
-    def __init__(self, lanes, profiles=None, on_result=None) -> None:
+    ``on_start(cohort)`` fires before a cohort boots (with a pool, as
+    its shard is handed out) and ``on_result(lane_index, LaneResult)``
+    as each lane settles, both in the calling process.
+    """
+
+    def __init__(self, lanes, profiles=None, on_result=None, jobs=1,
+                 paranoid=False, fuse=True, on_start=None) -> None:
         self.lanes = [spec if isinstance(spec, LaneSpec)
                       else LaneSpec(*spec) for spec in lanes]
         if not self.lanes:
@@ -86,12 +106,16 @@ class BatchRunner:
                     f"workloads: {', '.join(sorted(self.profiles))}")
             get_machine(spec.machine)   # unknown names fail before a boot
         self.on_result = on_result
-        self.cohorts = plan_cohorts(self.lanes)
+        self.on_start = on_start
+        self.jobs = jobs
+        self.paranoid = paranoid
+        self.observation = obs.active()
+        self.cohorts = plan_cohorts(self.lanes, fuse=fuse)
         self._results = [None] * len(self.lanes)
 
     def _boot(self, cohort: Cohort) -> _CohortState:
-        """A freshly booted machine for ``cohort``, built as scalar runs
-        build theirs."""
+        """A freshly booted machine for ``cohort``, built through the
+        machine registry."""
         spec = get_machine(cohort.machine)
         machine = spec.build(
             spec.params.with_overrides(**dict(cohort.overrides)))
@@ -110,13 +134,55 @@ class BatchRunner:
         metrics.counter("batch.cohorts").inc(len(self.cohorts))
         if fused:
             metrics.counter("batch.fused_lanes").inc(fused)
-        for cohort in self.cohorts:
-            # The state (and its machine) is garbage once _advance
-            # returns, before the next cohort boots.
-            self._advance(self._boot(cohort))
+        if self.jobs > 1 and len(self.cohorts) > 1 and not self.paranoid:
+            self._fan_out()
+        else:
+            for cohort in self.cohorts:
+                self._start(cohort)
+                # The state (and its machine) is garbage once _advance
+                # returns, before the next cohort boots.
+                self._advance(self._boot(cohort))
         obs.emit("batch_finished", lanes=len(self.lanes),
                  cohorts=len(self.cohorts))
         return list(self._results)
+
+    def _fan_out(self) -> None:
+        """Run the cohorts in worker processes, ``2 × jobs`` per shard."""
+        from repro.workloads.parallel import run_tasks
+
+        size = 2 * self.jobs
+        for first in range(0, len(self.cohorts), size):
+            shard = self.cohorts[first:first + size]
+            tasks = []
+            for cohort in shard:
+                self._start(cohort)
+                tasks.append(([spec for _, spec in cohort.lanes],
+                              {cohort.workload:
+                               self.profiles[cohort.workload]}))
+            for cohort, results in zip(
+                    shard, run_tasks(_run_cohort, tasks, jobs=self.jobs)):
+                for (index, _), result in zip(cohort.lanes, results):
+                    self._settle(index, result)
+
+    def _start(self, cohort: Cohort) -> None:
+        if self.on_start is not None:
+            self.on_start(cohort)
+
+    def _hooks(self, state: _CohortState) -> ExitStack:
+        """The passive boundary hooks one cohort's run carries.
+
+        The sampler chains after whatever the executive installed and
+        the paranoid monitor after the sampler.
+        """
+        hooks = ExitStack()
+        if self.observation is not None:
+            hooks.enter_context(obs.ProgressSampler(
+                state.machine, self.observation, state.cohort.workload))
+        if self.paranoid:
+            from repro.validate.paranoid import ParanoidMonitor
+
+            hooks.enter_context(ParanoidMonitor(state.machine))
+        return hooks
 
     def _advance(self, state: _CohortState) -> None:
         """Run one cohort to each of its targets, capturing at each.
@@ -127,14 +193,15 @@ class BatchRunner:
         cycle limit cannot have fired any earlier.  A halted machine
         stays halted, so every later target fails the same way.
         """
-        for target in state.cohort.targets:
-            state.target = target
-            try:
-                run_until(state.machine, target)
-            except RuntimeError as exc:
-                self._fail_target(state, str(exc))
-            else:
-                self._capture(state)
+        with self._hooks(state):
+            for target in state.cohort.targets:
+                state.target = target
+                try:
+                    run_until(state.machine, target)
+                except RuntimeError as exc:
+                    self._fail_target(state, str(exc))
+                else:
+                    self._capture(state)
 
     def _capture(self, state: _CohortState) -> None:
         measurement = Measurement.capture(state.cohort.workload,
@@ -149,24 +216,42 @@ class BatchRunner:
     def _settle_target(self, state: _CohortState, measurement=None,
                        error=None) -> None:
         for index in state.cohort.lanes_at(state.target):
-            result = LaneResult(self.lanes[index], measurement, error)
-            self._results[index] = result
-            obs.emit("batch_lane_finished", lane=index,
-                     label=self.lanes[index].label(), ok=result.ok)
-            if self.on_result is not None:
-                self.on_result(index, result)
+            self._settle(index, LaneResult(self.lanes[index], measurement,
+                                           error))
+
+    def _settle(self, index: int, result: LaneResult) -> None:
+        self._results[index] = result
+        obs.emit("batch_lane_finished", lane=index,
+                 label=self.lanes[index].label(), ok=result.ok)
+        if self.on_result is not None:
+            self.on_result(index, result)
 
 
-def run_lanes(lanes, profiles=None, on_result=None,
-              strict: bool = True) -> list:
+def _run_cohort(task) -> list:
+    """Pool worker entry point (top-level, so it pickles): one cohort.
+
+    Returns its LaneResults in the cohort's lane order.  A forked
+    worker inherits the caller's observation but cannot report to it,
+    so there the cohort runs without a progress sampler.
+    """
+    lanes, profiles = task
+    runner = BatchRunner(lanes, profiles)
+    if multiprocessing.parent_process() is not None:
+        runner.observation = None
+    for cohort in runner.cohorts:
+        runner._advance(runner._boot(cohort))
+    return runner._results
+
+
+def run_lanes(lanes, strict: bool = True, **options) -> list:
     """Run lanes through one BatchRunner; optionally raise lane errors.
 
-    With ``strict`` (the default) the first failed lane raises the
-    scalar engine's :class:`RuntimeError` verbatim, matching what a
-    serial loop over ``run_workload`` would have done.
+    ``options`` are :class:`BatchRunner`'s.  With ``strict`` (the
+    default) the first failed lane raises the scalar engine's
+    :class:`RuntimeError` verbatim, matching what a serial loop over
+    :meth:`Executive.run` would have done.
     """
-    results = BatchRunner(lanes, profiles=profiles,
-                          on_result=on_result).run()
+    results = BatchRunner(lanes, **options).run()
     if strict:
         for result in results:
             if result.error is not None:

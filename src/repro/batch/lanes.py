@@ -1,8 +1,8 @@
-"""Lane planning for the batch engine.
+"""Lane planning for the cohort runner.
 
 A *lane* is one requested measurement: a workload profile, an
 instruction budget, a seed, a tuple of MachineParams overrides and a
-machine backend.  The batch engine's central observation is that
+machine backend.  The runner's central observation is that
 execution never depends on the budget —
 :meth:`repro.osim.executive.Executive.run` only decides *when to stop
 looking* — so two lanes that agree on everything except the budget
@@ -83,15 +83,17 @@ class Cohort:
                 f"targets={list(self.targets)}")
 
 
-def plan_cohorts(lanes) -> list:
+def plan_cohorts(lanes, fuse: bool = True) -> list:
     """Group lanes into cohorts, preserving first-seen order.
 
     ``lanes`` is an iterable of :class:`LaneSpec`; the result covers
     every input lane exactly once (duplicate specs become two lanes of
-    the same cohort sharing one capture).
+    the same cohort sharing one capture).  Without ``fuse`` every lane
+    is a cohort of its own.
     """
     grouped = {}
     for index, spec in enumerate(lanes):
-        grouped.setdefault(spec.cohort_key(), []).append((index, spec))
-    return [Cohort(*key, lanes=tuple(members))
-            for key, members in grouped.items()]
+        key = spec.cohort_key() if fuse else index
+        grouped.setdefault(key, []).append((index, spec))
+    return [Cohort(*members[0][1].cohort_key(), lanes=tuple(members))
+            for members in grouped.values()]

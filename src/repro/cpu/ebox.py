@@ -314,10 +314,6 @@ class EBox:
         if n > 0:
             self._cycle_raw(upc, n)
 
-    def arm_fused_cycle(self, upc: int) -> None:
-        """Arm the fused first-execute-cycle optimisation."""
-        self._fused_upc = upc
-
     def disarm_fused_cycle(self) -> None:
         """Cancel an unconsumed fused-cycle credit (end of instruction)."""
         self._fused_upc = None
@@ -522,17 +518,6 @@ class EBox:
             if extra_refs:
                 self._cycle_raw(self.u.unaligned_calc, extra_refs)
             shift += 8 * chunk_size
-
-    def read_quad(self, va: int, upc: int) -> int:
-        """Two-longword read (the EBOX data path is 32 bits wide)."""
-        low = self.read(va, 4, upc)
-        high = self.read((va + 4) & _WORD, 4, upc)
-        return low | (high << 32)
-
-    def write_quad(self, va: int, value: int, upc: int) -> None:
-        """Two-longword write."""
-        self.write(va, value & _WORD, 4, upc)
-        self.write((va + 4) & _WORD, (value >> 32) & _WORD, 4, upc)
 
     def read_phys(self, pa: int, size: int, upc: int) -> int:
         """Physical read (SCB vectors, PCB) — no translation."""
@@ -1081,12 +1066,6 @@ class EBox:
     # ------------------------------------------------------------------
     # branches
     # ------------------------------------------------------------------
-
-    def consume_branch_displacement(self, inst) -> None:
-        """Take the displacement bytes from the IB (taken or not)."""
-        kind = inst.info.branch_operand
-        nbytes = 1 if kind.dtype == "b" else 2
-        self.ib_take(nbytes, self.u.bdisp_stall)
 
     def take_branch(self, inst, redirect_upc: int) -> int:
         """Branch-taken path: B-DISP target calc + execute-phase redirect.

@@ -220,10 +220,6 @@ class VAX780:
         self._decode_cache[key] = inst
         return inst
 
-    def invalidate_decode_cache(self) -> None:
-        """Drop cached decodes (after loading new code over old)."""
-        self._decode_cache.clear()
-
     # ------------------------------------------------------------------
     # interrupts and exceptions
     # ------------------------------------------------------------------

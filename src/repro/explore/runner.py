@@ -1,26 +1,23 @@
-"""Sharded execution of design-space sweeps.
+"""Design-space sweeps through the cohort runner.
 
-A sweep is a bag of independent (point × workload) simulations — the
-same embarrassing parallelism as the composite experiments — so the
-runner fans tasks out over :func:`repro.workloads.parallel.run_tasks`
-(which brings bounded per-task retry and in-process fallback when the
-pool dies) in shards, persisting each shard to the
-:class:`~repro.explore.store.ResultStore` as it lands.  An interrupted
-sweep therefore loses at most one shard, and a re-run simulates only
-what the store has never seen.
+A sweep is a bag of independent (point × workload) simulations.  The
+runner turns the ones the :class:`~repro.explore.store.ResultStore`
+has never seen into one lane plan for :class:`repro.batch.BatchRunner`
+— the code path of every measured run — and persists each record as
+its lane lands, so an interrupted sweep loses only what was still
+running, and a re-run simulates only what the store has never seen.
+With ``jobs > 1`` the runner fans cohorts out over worker processes
+(:func:`repro.workloads.parallel.run_tasks`, with its bounded per-task
+retry and in-process fallback when the pool dies) in shards of
+``2 × jobs``, and records land shard by shard.
 
-Each simulation is *exactly* the code path of
-:func:`repro.workloads.engine.run_workload` — fresh machine,
-executive boot, measured run — so the default-params point is
-bit-identical to the standard composite (a contract the tests pin).
-
-``engine="batch"`` routes the outstanding tasks through the batch
-engine (:mod:`repro.batch`) instead of the process pool: tasks that
-differ only in budget fuse onto shared machines, so an
-``instructions``-axis sweep costs one run of the longest point.
-Records are bit-identical either way (the store key does not encode
-the engine), and ``engine="auto"`` picks batch exactly when some tasks
-actually fuse.
+``engine`` only decides whether budget-only lanes share a machine:
+``batch`` fuses them, so an ``instructions``-axis sweep costs one run
+of the longest point; ``scalar`` gives every lane its own machine;
+``auto`` fuses exactly when some lanes would share one.  Records are
+bit-identical either way (the store key does not encode the engine),
+and the default-params point is bit-identical to the standard
+composite (a contract the tests pin).
 """
 
 from __future__ import annotations
@@ -28,11 +25,9 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.analysis.measurement import Measurement
 from repro.explore.space import SpaceError, SweepSpec
 from repro.explore.store import ResultStore, code_version, result_key
 from repro.obs import metrics
-from repro.workloads.parallel import run_tasks
 from repro.workloads.registry import WorkloadError, get_workload
 
 #: Simulations performed by this process since import (tests use this
@@ -97,29 +92,6 @@ def _record(measurement, workload: str, instructions: int,
     }
 
 
-def _simulate_task(task) -> dict:
-    """Worker entry point (top-level, so it pickles): one simulation."""
-    global SIMULATIONS
-    workload, instructions, seed, overrides, machine_name = task
-    overrides = dict(overrides)
-
-    from repro.machines.registry import get_machine
-    from repro.osim.executive import Executive
-
-    spec = get_machine(machine_name)
-    profile = get_workload(workload).profile
-    machine = spec.build(spec.params.with_overrides(**overrides))
-    executive = Executive(machine, spec.adapt_profile(profile),
-                          seed=seed)
-    executive.boot()
-    executive.run(instructions)
-    measurement = Measurement.capture(workload, machine)
-    SIMULATIONS += 1
-    metrics.counter("explore.simulations").inc()
-    return _record(measurement, workload, instructions, seed, overrides,
-                   machine=machine_name)
-
-
 class SweepResult:
     """Everything one sweep run produced."""
 
@@ -174,91 +146,29 @@ def compose(records) -> dict:
     return out
 
 
-def _lanes(todo, points) -> list:
-    """One batch lane per outstanding task."""
-    from repro.batch import LaneSpec
-
-    return [LaneSpec(workload, points[index].instructions,
-                     points[index].seed, points[index].overrides,
-                     points[index].machine)
-            for index, workload, _key in todo]
-
-
-def _run_batch(spec, todo, points, records, store, progress) -> None:
-    """Simulate the outstanding tasks through the batch engine.
-
-    Each task becomes one lane; lanes differing only in budget fuse
-    onto shared machines (see :mod:`repro.batch.lanes`).  Results are
-    persisted as each lane's boundary is captured, so an interrupted
-    sweep keeps every lane that completed.  A failed lane raises the
-    scalar engine's RuntimeError verbatim, exactly as the serial path
-    would have propagated it.
-    """
-    from repro.batch import BatchRunner
-
-    lanes = _lanes(todo, points)
-    landed = {"lanes": 0}
-    started = time.monotonic()
-
-    def on_result(lane, result):
-        global SIMULATIONS
-        if result.error is not None:
-            raise RuntimeError(result.error)
-        index, workload, key = todo[lane]
-        point = points[index]
-        record = _record(result.measurement, workload,
-                         point.instructions, point.seed,
-                         dict(point.overrides), machine=point.machine)
-        records[key] = record
-        if store is not None:
-            store.put(key, record)
-        SIMULATIONS += 1
-        metrics.counter("explore.simulations").inc()
-        obs.emit("sweep_point_completed", spec=spec.name,
-                 label=point.label(), workload=workload,
-                 cycles=record["cycles"])
-        landed["lanes"] += 1
-        if progress is not None:
-            elapsed = time.monotonic() - started
-            progress(f"batch: {landed['lanes']}/{len(todo)} lanes "
-                     f"captured elapsed {elapsed:.1f}s")
-
-    runner = BatchRunner(lanes, on_result=on_result)
-    if progress is not None:
-        fused = len(lanes) - len(runner.cohorts)
-        progress(f"batch: {len(lanes)} lanes in "
-                 f"{len(runner.cohorts)} cohorts ({fused} fused)")
-    runner.run()
-
-
-def _batch_fuses(todo, points) -> bool:
-    """Whether any outstanding tasks would share a machine."""
-    keys = [lane.cohort_key() for lane in _lanes(todo, points)]
-    return len(set(keys)) < len(keys)
-
-
 def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
-              resume: bool = True, retries: int = 1,
-              progress=None, engine: str = "scalar") -> SweepResult:
+              resume: bool = True, progress=None,
+              engine: str = "scalar") -> SweepResult:
     """Run ``spec``, reusing stored results, and return every point.
 
     ``resume=False`` re-simulates every point (the store is still
-    updated).  ``progress`` is an optional ``callable(str)`` fed
-    shard-by-shard status lines with an ETA.  ``engine`` selects the
-    execution engine: ``scalar`` (the pool-sharded per-task path),
-    ``batch`` (the in-process batch engine), or ``auto`` (batch
-    when tasks fuse, scalar otherwise); results are bit-identical.
+    updated).  ``jobs`` (default: one per core, up to five) is the
+    number of worker processes.  ``progress`` is an optional
+    ``callable(str)`` fed status lines with an ETA as lanes land.
+    ``engine`` — ``scalar``, ``batch`` or ``auto`` — decides whether
+    budget-only lanes share a machine (see the module docstring);
+    results are bit-identical.
     """
-    from repro.batch import validate_engine
+    from repro.batch import BatchRunner, LaneSpec, validate_engine
+    from repro.workloads.parallel import default_jobs
 
-    global SIMULATIONS
     engine = validate_engine(engine)
     code = code_version()
     tasks = []          # (point_index, workload, key)
     points = spec.points()
     # Eager support check across every (machine, workload) pair the
     # sweep will touch — a machine axis can put a workload on a backend
-    # that refuses it, and that should fail before the first shard.
+    # that refuses it, and that should fail before anything simulates.
     for machine_name in {point.machine for point in points}:
         for workload in spec.workloads:
             try:
@@ -285,57 +195,55 @@ def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
             todo.append((index, workload, key))
     cached = len(set(k for _, _, k in tasks)) - len(todo)
     metrics.counter("explore.resumed_points").inc(cached)
+    lanes = [LaneSpec(workload, points[index].instructions,
+                      points[index].seed, points[index].overrides,
+                      points[index].machine)
+             for index, workload, _key in todo]
     if engine == "auto":
-        engine = "batch" if _batch_fuses(todo, points) else "scalar"
+        keys = [lane.cohort_key() for lane in lanes]
+        engine = "batch" if len(set(keys)) < len(keys) else "scalar"
     started = time.monotonic()
     obs.emit("sweep_started", spec=spec.name, points=len(points),
              workloads=len(spec.workloads), simulations=len(todo),
              cached=cached, engine=engine)
 
-    if engine == "batch" and todo:
-        _run_batch(spec, todo, points, records, store, progress)
-    elif todo:
-        # Shard the outstanding work so each shard's results are
-        # persisted before the next starts: an interrupted sweep loses
-        # at most one shard, and progress/ETA lines have something real
-        # to report.
-        from repro.workloads.parallel import default_jobs
-        effective_jobs = jobs if jobs is not None else default_jobs()
-        shard_size = max(1, 2 * effective_jobs)
-        shards = [todo[i:i + shard_size]
-                  for i in range(0, len(todo), shard_size)]
-        simulated = 0
-        for number, shard in enumerate(shards, start=1):
-            payloads = []
-            for index, workload, key in shard:
-                point = points[index]
-                payloads.append((workload, point.instructions,
-                                 point.seed, point.overrides,
-                                 point.machine))
-            results = run_tasks(_simulate_task, payloads, jobs=jobs,
-                                retries=retries)
-            for (index, workload, key), record in zip(shard, results):
-                records[key] = record
-                if store is not None:
-                    store.put(key, record)
-                obs.emit("sweep_point_completed", spec=spec.name,
-                         label=points[index].label(), workload=workload,
-                         cycles=record["cycles"])
-            simulated += len(shard)
-            if effective_jobs > 1 and len(payloads) > 1:
-                # The pool's workers simulated on our behalf (the
-                # in-process path already counted itself inside
-                # ``_simulate_task``).
-                SIMULATIONS += len(shard)
-            if progress is not None:
-                elapsed = time.monotonic() - started
-                remaining = len(todo) - simulated
-                eta = elapsed / simulated * remaining if simulated \
-                    else 0.0
-                progress(f"shard {number}/{len(shards)}: "
-                         f"{simulated}/{len(todo)} simulations "
-                         f"({cached} cached) elapsed {elapsed:.1f}s "
-                         f"eta {eta:.1f}s")
+    landed = 0
+
+    def on_result(lane, result):
+        global SIMULATIONS
+        nonlocal landed
+        if result.error is not None:
+            raise RuntimeError(result.error)
+        index, workload, key = todo[lane]
+        point = points[index]
+        record = _record(result.measurement, workload,
+                         point.instructions, point.seed,
+                         dict(point.overrides), machine=point.machine)
+        records[key] = record
+        if store is not None:
+            store.put(key, record)
+        SIMULATIONS += 1
+        metrics.counter("explore.simulations").inc()
+        obs.emit("sweep_point_completed", spec=spec.name,
+                 label=point.label(), workload=workload,
+                 cycles=record["cycles"])
+        landed += 1
+        if progress is not None:
+            elapsed = time.monotonic() - started
+            eta = elapsed / landed * (len(todo) - landed)
+            progress(f"{landed}/{len(todo)} lanes captured ({cached} "
+                     f"cached) elapsed {elapsed:.1f}s eta {eta:.1f}s")
+
+    if lanes:
+        runner = BatchRunner(
+            lanes, on_result=on_result,
+            jobs=default_jobs() if jobs is None else jobs,
+            fuse=engine == "batch")
+        if progress is not None:
+            fused = len(lanes) - len(runner.cohorts)
+            progress(f"{engine}: {len(lanes)} lanes in "
+                     f"{len(runner.cohorts)} cohorts ({fused} fused)")
+        runner.run()
 
     out_points = []
     for index, point in enumerate(points):

@@ -125,6 +125,9 @@ def _point(overrides: dict, instructions: int, seed: int,
                  if getattr(base, name) != value}
     point = Point(tuple(sorted(overrides.items())), instructions, seed,
                   machine)
+    if instructions < 1:
+        raise SpaceError(f"invalid point {point.label()}: instructions "
+                         f"must be a positive budget, got {instructions}")
     try:
         point.params()
     except ValueError as exc:

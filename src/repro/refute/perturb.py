@@ -72,9 +72,12 @@ def _install_batch_capture_extra_count():
 
     The count is on the live board only while
     :meth:`~repro.batch.engine.BatchRunner._capture` snapshots it, so
-    the board is left as found and the run goes on unchanged.  Scalar
-    runs never pass through the batch capture, so the batch↔scalar
-    identity is the one contract that can see it.
+    the board is left as found and the run goes on unchanged.  Every
+    engine run captures there, but the independent references the
+    batch↔scalar identity compares against
+    (``validate.differential._scalar_lane``, ``refute``'s
+    ``simulate_point``) capture after their own :meth:`Executive.run`,
+    so that identity is the one contract that can see it.
     """
     from repro.batch.engine import BatchRunner
 

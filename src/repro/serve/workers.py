@@ -9,13 +9,15 @@ metrics delta for the deterministic merge.
 
 A *group* is ``(command, [exec_kwargs, ...])``: a singleton for most
 jobs, or several co-queued ``engine="auto"`` characterize jobs that
-differ only in budget.  For those, :func:`prefuse_characterize` runs
-every (workload × budget) as lanes of one batch
-(:mod:`repro.batch`) — budget-only lanes fuse onto shared machines, so
-K co-queued budgets cost about one run of the largest — and primes the
-engine memo so the ordinary facade call then assembles each job's
-result without simulating anything.  Results are bit-identical to
-direct facade calls either way; fusion only moves wall-clock time.
+differ only in budget.  For those, :func:`prefuse_characterize` hands
+every (workload × budget) to the workload engine as lanes of one
+:func:`~repro.workloads.engine.measure` call — budget-only lanes fuse
+onto shared machines in the cohort runner (:mod:`repro.batch`), so K
+co-queued budgets cost about one run of the largest — and the engine
+memoises each fresh measurement, so the ordinary facade call then
+assembles each job's result without simulating anything.  Results are
+bit-identical to direct facade calls either way; fusion only moves
+wall-clock time.
 
 Deterministic failures (an :class:`~repro.api.ApiError` that slipped
 past submission validation, a simulation error) are *returned* as
@@ -69,37 +71,31 @@ def execute(command: str, kwargs: dict) -> dict:
             "seconds": round(time.perf_counter() - started, 6)}
 
 
-def prefuse_characterize(payloads) -> int:
+def prefuse_characterize(payloads) -> None:
     """Fuse a group of budget-only characterize jobs into one batch.
 
     ``payloads`` agree on everything but ``instructions`` (the fusion
-    group key guarantees it).  Every (workload, budget, seed) the
-    group needs that is not already memoised becomes one lane;
-    budget-only lanes fuse onto shared machines, and each captured
-    measurement is primed into the engine memo under the key the
-    facade will look up.  Returns the number of lanes run.
+    group key guarantees it).  Every (workload, budget) the group
+    needs becomes one lane of a single :func:`repro.workloads.engine.
+    measure` call — the entry point of every engine run — so
+    budget-only lanes fuse onto shared machines and each fresh
+    measurement lands in the engine memo under the key the facade will
+    look up.
     """
-    from repro.batch import LaneSpec, run_lanes
+    from repro.batch import LaneSpec
     from repro.workloads import engine as _engines
 
     lanes = []
     for kwargs in payloads:
         args = api.COMMANDS["characterize"].canonical(kwargs)
-        for name in args["workloads"]:
-            lane = LaneSpec(name, args["instructions"], args["seed"],
-                            machine=args["machine"])
-            if lane not in lanes and not _engines.is_cached(
-                    name, lane.instructions, lane.seed, lane.machine):
-                lanes.append(lane)
-    if not lanes:
-        return 0
-    results = run_lanes(lanes)
-    for lane, result in zip(lanes, results):
-        _engines.prime_cache(lane.workload, lane.instructions,
-                             lane.seed, result.measurement,
-                             machine=lane.machine)
-    metrics.counter("serve.fused_lanes").inc(len(lanes))
-    return len(lanes)
+        lanes += [LaneSpec(name, args["instructions"], args["seed"],
+                           machine=args["machine"])
+                  for name in args["workloads"]]
+    runs = metrics.counter("workloads.runs").value
+    _engines.measure(lanes, jobs=args["jobs"], paranoid=args["paranoid"])
+    # The engine counts each fresh measurement once: the lanes simulated.
+    metrics.counter("serve.fused_lanes").inc(
+        metrics.counter("workloads.runs").value - runs)
 
 
 def run_group(task) -> list:

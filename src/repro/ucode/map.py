@@ -148,7 +148,3 @@ class MicrocodeMap:
                 name: block.slot(name, KIND_CODES[code])
                 for name, code in spec.slots.items()
             }
-
-    def exec_slots(self, family: str) -> dict:
-        """Slot name -> address for a family's execute flow."""
-        return self.exec_flows[family]

@@ -56,8 +56,3 @@ def executor(family: str, slots: dict):
         EXECUTORS[family] = ExecutorSpec(family, func, dict(slots))
         return func
     return wrap
-
-
-def get_executor(family: str) -> ExecutorSpec:
-    """The registered spec for ``family`` (KeyError if missing)."""
-    return EXECUTORS[family]

@@ -34,13 +34,6 @@ class TBStats:
         """Zero all counters."""
         self.__init__()
 
-    @property
-    def miss_ratio(self) -> float:
-        """Misses per lookup."""
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
-
-
 class TranslationBuffer:
     """Two-halved, set-associative VPN -> PFN cache."""
 

@@ -1,18 +1,19 @@
-"""Process-level parallelism for the five workload experiments.
+"""Process-level fan-out: :func:`run_tasks`.
 
-Each of the paper's five experiments is an independent simulation — a
-fresh machine, its own executive, its own seed-derived programs — so the
-composite is embarrassingly parallel at workload granularity.  This
-module fans the five runs out over a :class:`ProcessPoolExecutor` (the
+Independent simulations — a fresh machine, its own executive, its own
+seed-derived programs — are embarrassingly parallel, and the
 cycle-level model is pure Python, so threads would serialize on the
-GIL) and reassembles the results in profile order.
+GIL.  :func:`run_tasks` maps a top-level worker over tasks on a
+:class:`ProcessPoolExecutor` and returns the results in task order.
+The cohort runner (:class:`repro.batch.BatchRunner`) fans its cohorts
+out through it — which is how every ``jobs > 1`` composite and sweep
+runs — as do the microbenchmark suite, the fuzzers, the refutation
+campaign and the job server's worker rounds.
 
-Determinism: a worker runs exactly the code the serial path runs —
-``run_workload`` on a fresh interpreter state — so for a fixed
-(instructions, seed) the per-workload measurements, and therefore the
-composite histogram, are bit-identical to a serial run.  The
-integration test ``tests/integration/test_determinism.py`` enforces
-this.
+Determinism: a worker runs exactly the code the in-process path runs,
+on a fresh interpreter state, so results are bit-identical at any
+``jobs``.  ``tests/integration/test_determinism.py`` enforces this for
+the composite.
 
 Observability: every pooled task runs under a scoped metrics registry
 (:func:`repro.obs.metrics.scoped_registry`) and comes back wrapped with
@@ -74,8 +75,8 @@ class _Instrumented:
 def run_tasks(worker, tasks, jobs: int = None, retries: int = 1) -> list:
     """Map ``worker`` over ``tasks``, optionally across processes.
 
-    The generic fan-out shared by the composite experiments, the
-    microbenchmark runner and the design-space sweep runner:
+    The generic fan-out shared by the cohort runner, the
+    microbenchmark runner, the fuzzers and the job server:
     order-preserving, degenerating to a plain serial loop for
     ``jobs <= 1`` (so single-job runs carry no pool overhead and the
     jobs=1 / jobs=N results are trivially comparable).  ``worker`` and
@@ -141,31 +142,3 @@ def run_tasks(worker, tasks, jobs: int = None, retries: int = 1) -> list:
                  seconds=round(envelope["seconds"], 6))
         out.append(envelope["result"])
     return out
-
-
-def _run_one(task) -> "Measurement":
-    """Worker entry point (top-level, so it pickles): one experiment."""
-    name, instructions, seed, machine = task
-    from repro.workloads import engine
-
-    return engine.run_workload(name, instructions, seed,
-                               machine=machine)
-
-
-def run_standard_parallel(instructions: int, seed: int = 1984,
-                          jobs: int = None, machine: str = "vax780",
-                          workloads=None) -> dict:
-    """Run registered workload experiments across worker processes.
-
-    ``workloads`` is an iterable of registered names (default: the
-    paper's five).  Dynamically registered workloads (ingested traces)
-    cannot cross the process boundary — workers resolve names against
-    the import-time registry — so the engine routes them to the serial
-    path instead.  Returns name -> Measurement in the given order,
-    exactly as :func:`repro.workloads.engine.run_many` does.
-    """
-    names = tuple(workloads) if workloads is not None \
-        else paper_workload_names()
-    tasks = [(name, instructions, seed, machine) for name in names]
-    results = run_tasks(_run_one, tasks, jobs=jobs)
-    return dict(zip(names, results))

@@ -71,24 +71,6 @@ def _zigzag(value: int) -> int:
     return (value << 1) ^ (value >> 63) if value < 0 else (value << 1)
 
 
-def _read_varint(view, offset: int):
-    shift = 0
-    value = 0
-    while True:
-        if offset >= len(view):
-            raise TraceError("trace stream is truncated mid-record")
-        byte = view[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
 class _StreamRecorder:
     """Passive boundary hook: encodes (pc, cycles) deltas as it runs.
 
@@ -346,25 +328,6 @@ def load_trace(path) -> TraceHandle:
         stream_sha256=stream_digest.hex(),
         file_sha256=file_digest.hex(),
         code_version=header["code_version"], profile=profile)
-
-
-def iter_stream(handle: TraceHandle):
-    """Yield (index, pc, cycles) per recorded boundary (tooling)."""
-    with open(handle.path, "rb") as fh:
-        blob = fh.read()
-    _magic, _version, hlen = _HEAD.unpack_from(blob)
-    offset = _HEAD.size + hlen
-    (slen,) = _SLEN.unpack_from(blob, offset)
-    view = blob[offset + _SLEN.size:offset + _SLEN.size + slen]
-    pc = 0
-    cycles = 0
-    position = 0
-    for index in range(handle.events):
-        delta, position = _read_varint(view, position)
-        pc += _unzigzag(delta)
-        delta, position = _read_varint(view, position)
-        cycles += delta
-        yield index, pc, cycles
 
 
 def replay(handle: TraceHandle):

@@ -118,7 +118,7 @@ class TestComposite:
         from repro.workloads import engine
 
         lanes = metrics.counter("batch.lanes").value
-        batched = engine.run_many(None, 600, seed=7, engine="batch")
+        batched = engine.run_many(None, 600, seed=7)
         assert metrics.counter("batch.lanes").value - lanes == 5
         scalar = {p.name: scalar_measure(p, 600, 7)
                   for p in STANDARD_PROFILES}
@@ -137,7 +137,7 @@ class TestComposite:
         from repro.workloads import engine
 
         results = engine.run_standard_experiments(
-            instructions=500, seed=11, engine="batch")
+            instructions=500, seed=11)
         for profile in STANDARD_PROFILES:
             assert engine._CACHE[(profile.name, 500, 11, "vax780")] is \
                 results[profile.name]

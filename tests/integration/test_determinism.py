@@ -4,12 +4,12 @@ The performance work (fast-forwarded idle windows, inlined hot paths,
 process-level parallelism) is only admissible because it changes *when
 wall-clock time is spent*, never *what is counted*.  These tests pin
 that contract: repeated serial runs are bit-identical, and the
-process-pool path produces byte-for-byte the same measurements as the
-serial path for the same seed.
+process-pool path (``run_many(jobs=5)``: the cohort runner's fan-out)
+produces byte-for-byte the same measurements as the serial path for the
+same seed.
 """
 
-from repro.workloads import engine
-from repro.workloads.parallel import run_standard_parallel
+from repro.workloads import engine, parallel
 from repro.workloads.profiles import STANDARD_PROFILES
 
 INSTRUCTIONS = 1500
@@ -50,10 +50,13 @@ def test_parallel_matches_serial_bit_for_bit():
     engine.clear_cache()
     serial = engine.run_standard_experiments(
         instructions=INSTRUCTIONS, seed=SEED)
-    parallel = run_standard_parallel(INSTRUCTIONS, seed=SEED, jobs=5)
-    assert set(serial) == set(parallel)
+    engine.clear_cache()
+    parallel_runs = engine.run_many(instructions=INSTRUCTIONS, seed=SEED,
+                                    jobs=5)
+    assert set(serial) == set(parallel_runs)
     for name in serial:
-        assert _fingerprint(serial[name]) == _fingerprint(parallel[name]), \
+        assert _fingerprint(serial[name]) == \
+            _fingerprint(parallel_runs[name]), \
             f"workload {name} diverged between serial and parallel runs"
 
 
@@ -62,13 +65,18 @@ def test_parallel_composite_matches_serial_composite():
     serial = engine.standard_composite(instructions=INSTRUCTIONS,
                                             seed=SEED)
     engine.clear_cache()
-    parallel = engine.standard_composite(instructions=INSTRUCTIONS,
-                                              seed=SEED, jobs=5)
-    assert _fingerprint(serial) == _fingerprint(parallel)
+    parallel_composite = engine.standard_composite(
+        instructions=INSTRUCTIONS, seed=SEED, jobs=5)
+    assert _fingerprint(serial) == _fingerprint(parallel_composite)
 
 
-def test_parallel_jobs_one_is_in_process():
+def test_parallel_jobs_one_is_in_process(monkeypatch):
     """jobs=1 must not spawn workers (it is the serial path)."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("jobs=1 opened a process pool")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     engine.clear_cache()
-    results = run_standard_parallel(INSTRUCTIONS, seed=SEED, jobs=1)
+    results = engine.run_many(instructions=INSTRUCTIONS, seed=SEED,
+                              jobs=1)
     assert len(results) == len(STANDARD_PROFILES)

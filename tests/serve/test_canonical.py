@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
+from repro.obs import metrics
+from repro.serve import ServeConfig
 from repro.serve.canonical import COMMANDS, parse_request, request_key
+from repro.serve.server import JobServer
 
 CharacterizeRequest = COMMANDS["characterize"]
 ExploreRequest = COMMANDS["explore"]
@@ -150,6 +153,26 @@ class TestValidation:
              "params": {"workload": "timesharing-research", "smoke": True}},
             default_engine="auto")
         assert "engine" not in workload.canonical()
+
+
+class TestServerRejections:
+    """Malformed shapes answer 400 and count as invalid, never 500."""
+
+    @pytest.mark.parametrize("doc, names", [
+        ({"command": "characterize", "params": {"table": 4}},
+         ["table", "s4", "'all'"]),
+        ({"command": "explore", "params": {"axes": [4]}},
+         ["axes", "NAME=V1,V2"]),
+    ], ids=["table", "axes"])
+    def test_malformed_input_answers_400(self, doc, names):
+        server = JobServer(ServeConfig(store=None))
+        before = metrics.counter("serve.rejected.invalid").value
+        status, body, _headers = server.submit(doc)
+        assert status == 400
+        for name in names:
+            assert name in body["error"]
+        assert metrics.counter("serve.rejected.invalid").value \
+            == before + 1
 
 
 class TestFusionGroups:

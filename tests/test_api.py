@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import api
+from repro.obs.metrics import scoped_registry
 from repro.workloads import engine
 from repro.workloads.profiles import STANDARD_PROFILES
 
@@ -50,6 +51,41 @@ class TestCharacterize:
     def test_smoke_budget(self):
         result = api.characterize(smoke=True, table="8")
         assert result.instructions == api.SMOKE_INSTRUCTIONS
+
+
+class TestMalformedInput:
+    """Bad shapes raise ApiError naming the valid form, before running."""
+
+    def test_non_string_table_names_the_valid_keys(self):
+        with scoped_registry() as registry:
+            with pytest.raises(api.ApiError) as exc:
+                api.characterize(table=4)
+        assert "table" in str(exc.value)
+        for key in api.TABLES:
+            assert key in str(exc.value)
+        assert registry.counter("workloads.runs").value == 0
+
+    def test_non_string_axis_names_the_axis_form(self):
+        from repro.explore import runner
+
+        before = runner.SIMULATIONS
+        with pytest.raises(api.ApiError, match="NAME=V1,V2"):
+            api.explore(axes=[4], store=None)
+        assert runner.SIMULATIONS == before
+
+    @pytest.mark.parametrize("call", [
+        lambda: api.characterize(instructions=0, table="8"),
+        lambda: api.run_workload("research", instructions=-1),
+        lambda: api.hotspots(instructions=0),
+        lambda: api.explore(smoke=True, instructions=0, store=None),
+        lambda: api.ubench(smoke=True, check_instructions=0),
+    ], ids=["characterize", "run-workload", "hotspots", "explore",
+            "ubench"])
+    def test_nonpositive_budget_rejected_before_running(self, call):
+        with scoped_registry() as registry:
+            with pytest.raises(api.ApiError, match="positive budget"):
+                call()
+        assert registry.counter("workloads.runs").value == 0
 
 
 class TestRunWorkload:
