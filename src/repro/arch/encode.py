@@ -36,10 +36,15 @@ class Operand:
 
     Build instances with the module-level constructors (:func:`literal`,
     :func:`register`, :func:`displacement`, ...) rather than directly.
+    Nothing mutates an operand, so each is encoded once, when built:
+    ``encoded`` holds its specifier bytes, index prefix included, or
+    None for an immediate, whose size comes from the opcode it is used
+    with.  :func:`literal` and :func:`register` hand out one shared
+    instance per short literal and per register.
     """
 
     __slots__ = ("mode", "register", "value", "displacement", "disp_size",
-                 "index_register")
+                 "index_register", "encoded")
 
     def __init__(self, mode, register=0, value=0, displacement=0,
                  disp_size=0, index_register=None):
@@ -49,6 +54,8 @@ class Operand:
         self.displacement = displacement
         self.disp_size = disp_size
         self.index_register = index_register
+        self.encoded = None if mode is AddressingMode.IMMEDIATE \
+            else _specifier_bytes(self)
 
     def indexed(self, index_register: int) -> "Operand":
         """Return a copy of this operand with an ``[Rx]`` index prefix."""
@@ -68,11 +75,13 @@ def literal(value: int) -> Operand:
     """Short literal ``S^#value`` (0..63)."""
     if not 0 <= value <= 63:
         raise EncodeError(f"short literal out of range: {value}")
-    return Operand(AddressingMode.SHORT_LITERAL, value=value)
+    return _LITERALS[value]
 
 
 def register(reg: int) -> Operand:
     """Register mode ``Rn``."""
+    if 0 <= reg <= 15:
+        return _REGISTERS[reg]
     return Operand(AddressingMode.REGISTER, register=reg)
 
 
@@ -133,48 +142,50 @@ _MODE_NIBBLE = {
     AddressingMode.REGISTER_DEFERRED: 0x6,
     AddressingMode.AUTODECREMENT: 0x7,
     AddressingMode.AUTOINCREMENT: 0x8,
-    AddressingMode.IMMEDIATE: 0x8,
     AddressingMode.AUTOINC_DEFERRED: 0x9,
-    AddressingMode.ABSOLUTE: 0x9,
 }
 
 _DISP_NIBBLE = {1: 0xA, 2: 0xC, 4: 0xE}
 _DISP_PACK = {1: "<b", 2: "<h", 4: "<i"}
 
 
-def encode_operand(op: Operand, kind: OperandKind) -> bytes:
-    """Encode one operand specifier (with any index prefix) to bytes."""
+def _specifier_bytes(op: Operand) -> bytes:
+    """The specifier bytes (with any index prefix) of any operand but
+    an immediate."""
     mode = op.mode
-    if op.index_register is None:
-        # Single-byte encodings (registers and short literals dominate
-        # generated programs) skip the bytearray entirely.
-        if mode is AddressingMode.SHORT_LITERAL:
-            return bytes((op.value & 0x3F,))
-        nibble = _MODE_NIBBLE.get(mode)
-        if nibble is not None and mode is not AddressingMode.IMMEDIATE \
-                and mode is not AddressingMode.ABSOLUTE:
-            return bytes(((nibble << 4) | (op.register & 0xF),))
-    out = bytearray()
-    if op.index_register is not None:
-        out.append(0x40 | (op.index_register & 0xF))
-
-    if mode is AddressingMode.SHORT_LITERAL:
-        out.append(op.value & 0x3F)
-    elif mode is AddressingMode.IMMEDIATE:
-        out.append(0x8F)
-        out += _pack_immediate(op.value, kind)
-    elif mode is AddressingMode.ABSOLUTE:
-        out.append(0x9F)
-        out += struct.pack("<I", op.value & 0xFFFFFFFF)
-    elif mode in (AddressingMode.DISPLACEMENT, AddressingMode.DISP_DEFERRED):
+    if mode is AddressingMode.DISPLACEMENT \
+            or mode is AddressingMode.DISP_DEFERRED:
         nibble = _DISP_NIBBLE[op.disp_size]
         if mode is AddressingMode.DISP_DEFERRED:
             nibble += 1
-        out.append((nibble << 4) | (op.register & 0xF))
-        out += struct.pack(_DISP_PACK[op.disp_size], op.displacement)
+        out = bytes(((nibble << 4) | (op.register & 0xF),)) \
+            + struct.pack(_DISP_PACK[op.disp_size], op.displacement)
+    elif mode is AddressingMode.SHORT_LITERAL:
+        out = bytes((op.value & 0x3F,))
+    elif mode is AddressingMode.ABSOLUTE:
+        out = b"\x9f" + struct.pack("<I", op.value & 0xFFFFFFFF)
     else:
-        out.append((_MODE_NIBBLE[mode] << 4) | (op.register & 0xF))
-    return bytes(out)
+        nibble = _MODE_NIBBLE.get(mode)
+        if nibble is None:
+            raise EncodeError(f"cannot encode {mode.name} specifiers")
+        out = bytes(((nibble << 4) | (op.register & 0xF),))
+    if op.index_register is None:
+        return out
+    return bytes((0x40 | (op.index_register & 0xF),)) + out
+
+
+#: The shared short-literal and register operands.
+_LITERALS = tuple(Operand(AddressingMode.SHORT_LITERAL, value=value)
+                  for value in range(64))
+_REGISTERS = tuple(Operand(AddressingMode.REGISTER, register=reg)
+                   for reg in range(16))
+
+
+def encode_operand(op: Operand, kind: OperandKind) -> bytes:
+    """Encode one operand specifier (with any index prefix) to bytes."""
+    if op.encoded is not None:
+        return op.encoded
+    return b"\x8f" + _pack_immediate(op.value, kind)
 
 
 def _pack_immediate(value: int, kind: OperandKind) -> bytes:

@@ -102,7 +102,7 @@ class ProgramBuilder:
         if info.branch_operand is not None:
             raise AssemblyError(
                 f"{mnemonic} needs a branch target; use branch()")
-        self._chunks += enc.encode_instruction(info, list(operands))
+        self._chunks += enc.encode_instruction(info, operands)
 
     def branch(self, mnemonic: str, target, *operands) -> None:
         """Emit a branch-displacement instruction.

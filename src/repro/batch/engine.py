@@ -12,6 +12,16 @@ alive at a time.  A one-lane cohort *is* the scalar run, so the
 workload engine (:mod:`repro.workloads.engine`), design-space sweeps
 (:mod:`repro.explore.runner`) and serve's fusion all simulate here.
 
+Cohorts that differ only in params overrides boot the same programs:
+the generator sees the workload, the seed and the machine's adapted
+profile, never a MachineParams field.  The runner generates each
+(workload, seed, machine) program set once
+(:func:`repro.osim.executive.generate_programs`), at the first cohort
+that needs it, hands it to the later ones and lets it go once the last
+has booted, so a params sweep pays for program generation once per
+workload instead of once per point.  A pool task runs one cohort and
+generates its own set.
+
 Around each cohort the runner installs the passive boundary hooks a
 measured run may carry: the obs :class:`~repro.obs.ProgressSampler`
 when an observation is active, and with ``paranoid`` the
@@ -38,6 +48,7 @@ contract on randomly perturbed profiles.
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -46,7 +57,7 @@ from repro.analysis.measurement import Measurement
 from repro.batch.lanes import Cohort, LaneSpec, plan_cohorts
 from repro.machines.registry import get_machine
 from repro.obs import metrics
-from repro.osim.executive import Executive, run_until
+from repro.osim.executive import Executive, generate_programs, run_until
 
 
 @dataclass(frozen=True)
@@ -112,18 +123,47 @@ class BatchRunner:
         self.observation = obs.active()
         self.cohorts = plan_cohorts(self.lanes, fuse=fuse)
         self._results = [None] * len(self.lanes)
+        # Program sets by (workload, seed, machine), and how many
+        # cohorts have yet to boot on each.
+        self._programs = {}
+        self._boots_left = Counter(_program_key(cohort)
+                                   for cohort in self.cohorts)
 
     def _boot(self, cohort: Cohort) -> _CohortState:
         """A freshly booted machine for ``cohort``, built through the
-        machine registry."""
+        machine registry.
+
+        The program set is generated before the machine is built:
+        generated after it, a set held for later cohorts lands among
+        the freed memory images and measurably slows the allocation
+        of the next one.
+        """
         spec = get_machine(cohort.machine)
+        profile = spec.adapt_profile(self.profiles[cohort.workload])
+        programs = self._programs_for(cohort, profile)
         machine = spec.build(
             spec.params.with_overrides(**dict(cohort.overrides)))
-        executive = Executive(
-            machine, spec.adapt_profile(self.profiles[cohort.workload]),
-            seed=cohort.seed)
+        executive = Executive(machine, profile, seed=cohort.seed,
+                              programs=programs)
         executive.boot()
         return _CohortState(cohort, machine)
+
+    def _programs_for(self, cohort: Cohort, profile) -> tuple:
+        """The program set ``cohort`` boots on.
+
+        Generated at the first cohort of its (workload, seed, machine),
+        held for the later ones and let go at the last: params
+        overrides never reach the generator, while the machine's
+        adapted profile may.
+        """
+        key = _program_key(cohort)
+        programs = self._programs.pop(key, None)
+        if programs is None:
+            programs = generate_programs(profile, cohort.seed)
+        self._boots_left[key] -= 1
+        if self._boots_left[key]:
+            self._programs[key] = programs
+        return programs
 
     def run(self) -> list:
         """Execute every lane; returns LaneResults in input order."""
@@ -225,6 +265,10 @@ class BatchRunner:
                  label=self.lanes[index].label(), ok=result.ok)
         if self.on_result is not None:
             self.on_result(index, result)
+
+
+def _program_key(cohort: Cohort) -> tuple:
+    return cohort.workload, cohort.seed, cohort.machine
 
 
 def _run_cohort(task) -> list:

@@ -5,6 +5,12 @@ kernel stacks, PCBs, page tables, user frames), generates the kernel and
 one user program per process, installs devices and scheduler hooks, boots
 through the kernel's own VAX boot sequence, and runs a measurement window.
 
+The user programs come from :func:`generate_programs`, the one place that
+seeds each process's generator.  They depend only on the profile and the
+seed, never on the machine's timing params, so a caller booting several
+machines for one (profile, seed) — the cohort runner across a params
+sweep — may generate the set once and pass it to each executive.
+
 Physical layout (all below the S0 page table at the top of memory)::
 
     0x08000  kernel data (queues, scalars)          [identity S0]
@@ -60,12 +66,16 @@ class Executive:
     """A booted VMS-like system running one workload profile."""
 
     def __init__(self, machine: VAX780, profile: MixProfile,
-                 seed: int = 1984) -> None:
+                 seed: int = 1984, programs=None) -> None:
+        """``programs``: what :func:`generate_programs` returns for
+        ``(profile, seed)``; None generates them here."""
         self.machine = machine
         self.profile = profile
         self.seed = seed
         self.processes = []
         self._frame_cursor = FRAMES_PA >> PAGE_SHIFT
+        if programs is None:
+            programs = generate_programs(profile, seed)
 
         machine.map_s0_identity()
         self._load_kernel()
@@ -76,7 +86,8 @@ class Executive:
             io_block_cycles=profile.io_block_cycles,
             seed=seed + 17)
         self._install_hooks()
-        self._build_processes()
+        for asid, program in enumerate(programs, start=1):
+            self._build_process(asid, program)
         self._install_devices()
 
     # ------------------------------------------------------------------
@@ -111,10 +122,6 @@ class Executive:
                        psl_mode=KERNEL, usp=0, ksp=kstack_top)
         m.register_address_space(pcb, space)
 
-    def _build_processes(self) -> None:
-        for index in range(self.profile.processes):
-            self._build_process(index + 1)
-
     def _alloc_frame(self) -> int:
         frame = self._frame_cursor
         self._frame_cursor += 1
@@ -123,12 +130,8 @@ class Executive:
             raise MemoryError("out of user page frames")
         return frame
 
-    def _build_process(self, asid: int) -> None:
+    def _build_process(self, asid: int, program) -> None:
         m = self.machine
-        generator = ProgramGenerator(self.profile,
-                                     seed=self.seed * 1000 + asid)
-        program = generator.generate()
-
         p0_pages = (program.string_base
                     + self.profile.string_kb * 1024) >> PAGE_SHIFT
         p0_table = RegionTable(PTBL_PA + (asid - 1 + 1) * PTBL_SLOT,
@@ -228,6 +231,17 @@ class Executive:
             cycle_limit: int = None) -> None:
         """Run until the tracer has seen ``measured_instructions``."""
         run_until(self.machine, measured_instructions, cycle_limit)
+
+
+def generate_programs(profile: MixProfile, seed: int) -> tuple:
+    """One generated program per process of ``profile``, in ASID order.
+
+    Process ``asid`` (1-based) gets a generator seeded ``seed * 1000 +
+    asid``.
+    """
+    return tuple(ProgramGenerator(profile, seed=seed * 1000 + asid)
+                 .generate()
+                 for asid in range(1, profile.processes + 1))
 
 
 #: The run loop's failure message for a halted machine.

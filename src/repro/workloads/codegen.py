@@ -21,13 +21,24 @@ The generator also produces the *initial contents* of the data regions
 (pointer tables that point back into the region, valid packed decimals,
 text for string operations) so that every generated instruction executes
 on well-formed operands.
+
+A program is a pure function of (profile, seed).  The generator's fast
+paths keep it so: :func:`weighted_draw` bisects weights summed once, as
+``Random.choices`` does after summing them on every call,
+:func:`printable_text` draws the string region in batches that consume
+the same generator words as one ``randrange(0x20, 0x7F)`` per byte, and
+operands are encoded once, when built, with registers and short
+literals shared.  ``tests/workloads/program_digests.json`` pins every
+generated program byte for byte.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.arch import encode as enc
 from repro.arch.specifiers import AddressingMode
@@ -56,9 +67,61 @@ SUBROUTINE_SLOT = 0x700
 ENTRY_MASK = 0x03C0
 
 
-@dataclass
+#: The BBx and Bcc mnemonics, with their cumulative weights.
+_BIT_BRANCHES = ("BBS", "BBC", "BBSS", "BBCC", "BBCS", "BBSC")
+_BIT_BRANCH_CUM = list(accumulate((32, 32, 12, 12, 6, 6)))
+_COND_BRANCHES = ("BLSS", "BGEQ", "BGTR", "BLEQ", "BNEQ", "BEQL", "BCC",
+                  "BCS", "BGTRU")
+_COND_BRANCH_CUM = list(accumulate((18, 18, 18, 18, 11, 11, 2, 2, 2)))
+
+
+def weighted_draw(random, population, cum_weights):
+    """``Random.choices(population, cum_weights=cum_weights)[0]``.
+
+    The same ``random()`` (a ``Random.random``) bisected over the same
+    weights, without the argument checks ``choices`` repeats on every
+    call, which cost several times the draw itself.
+    """
+    return population[bisect(cum_weights, random() * cum_weights[-1],
+                              0, len(population) - 1)]
+
+
+#: ``getrandbits(7)`` keeps the top 7 bits of one 32-bit generator word,
+#: that is, the word's top byte shifted right once.  A printable byte is
+#: 0x20 plus a 7-bit draw below 95, so top bytes of 190 and up reject.
+_PRINTABLE = bytes(0x20 + (top >> 1) if top < 190 else 0
+                   for top in range(256))
+_REJECTED = bytes(range(190, 256))
+
+
+def printable_text(rng: random.Random, count: int) -> bytearray:
+    """``count`` printable bytes, drawn as ``randrange(0x20, 0x7F)`` would.
+
+    Range 95 has bit_length 7, so CPython's ``_randbelow`` draws
+    ``getrandbits(7)`` until one fits: one 32-bit word per attempt.
+    Here ``getrandbits(32 * need)`` draws ``need`` words at once (the
+    first word least significant), whose top bytes the table maps to
+    text and whose rejections it deletes.  Every accepted byte costs at
+    least one word, so a batch of exactly ``need`` words never draws
+    past the last word the one-at-a-time loop would have used: the
+    bytes and the generator's state afterwards are the same.
+    """
+    out = bytearray()
+    need = count
+    while need > 0:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        out += words[3::4].translate(_PRINTABLE, _REJECTED)
+        need = count - len(out)
+    return out
+
+
+@dataclass(frozen=True)
 class GeneratedProgram:
-    """A complete generated user program plus its initial data images."""
+    """A complete generated user program plus its initial data images.
+
+    Read-only: one program backs every machine a run boots for the same
+    (workload, seed, machine), and a process only stores it.
+    """
 
     code: bytes           #: machine code, loaded at ``code_base``
     entry: int            #: VA of the first instruction of ``main``
@@ -67,7 +130,7 @@ class GeneratedProgram:
     data_init: bytes      #: initial contents of the data region
     string_base: int
     string_init: bytes    #: initial contents of the string region
-    subroutine_entries: list
+    subroutine_entries: tuple
 
 
 class ProgramGenerator:
@@ -86,7 +149,8 @@ class ProgramGenerator:
         self._ptr_table = self.data_bytes - POINTER_TABLE_BYTES
         self._queue_area = self._ptr_table - QUEUE_AREA_BYTES
         self._scalar_limit = self._queue_area - 64
-        self._categories, self._weights = self._category_table()
+        self._emitters, self._light_emitters, self._cum_weights = \
+            self._item_table()
         self._label_counter = 0
 
     # ------------------------------------------------------------------
@@ -111,7 +175,7 @@ class ProgramGenerator:
             data_base=self.data_base, data_init=self._build_data_init(),
             string_base=self.string_base,
             string_init=self._build_string_init(),
-            subroutine_entries=entries)
+            subroutine_entries=tuple(entries))
 
     # ------------------------------------------------------------------
     # data region initial contents
@@ -135,19 +199,7 @@ class ProgramGenerator:
 
     def _build_string_init(self) -> bytes:
         rng = random.Random(self.rng.randrange(1 << 30))
-        # Printable bytes, drawn as randrange(0x20, 0x7F) would draw
-        # them: range 95 has bit_length 7, and CPython's _randbelow
-        # rejection-samples getrandbits(7) until the draw fits.  Calling
-        # getrandbits directly consumes the identical generator stream
-        # (byte-identical output) at a fraction of the interpreter cost —
-        # this is the largest single constructor expense.
-        getrandbits = rng.getrandbits
-        out = bytearray(self.string_bytes)
-        for i in range(self.string_bytes):
-            r = getrandbits(7)
-            while r >= 95:
-                r = getrandbits(7)
-            out[i] = 0x20 + r
+        out = printable_text(rng, self.string_bytes)
         # Valid packed decimals in the decimal area.
         digits = self.profile.decimal_digits
         nbytes = digits // 2 + 1
@@ -390,7 +442,9 @@ class ProgramGenerator:
     # straight-line item emission
     # ------------------------------------------------------------------
 
-    def _category_table(self):
+    def _item_table(self) -> tuple:
+        """One straight-line item's emitter per category, the same with
+        each heavy category emitting a move, and the cumulative weights."""
         p = self.profile
         table = [
             ("move", p.move), ("arith", p.arith), ("boolean", p.boolean),
@@ -403,20 +457,20 @@ class ProgramGenerator:
             ("cond_branch", p.cond_branch), ("brb", p.uncond_branch),
             ("jmp", p.jmp_branch),
         ]
-        names = [name for name, _ in table]
-        weights = [weight for _, weight in table]
-        return names, weights
+        emitters = [getattr(self, f"_emit_{name}") for name, _ in table]
+        light = [self._emit_move if name in self._HEAVY else emitter
+                 for (name, _), emitter in zip(table, emitters)]
+        return emitters, light, list(accumulate(w for _, w in table))
 
     _HEAVY = frozenset({"char", "decimal", "case", "queue"})
 
     def _emit_straight_line(self, b, n_items: int,
                             allow_heavy: bool) -> None:
+        emitters = self._emitters if allow_heavy else self._light_emitters
+        cum_weights = self._cum_weights
+        random = self.rng.random
         for _ in range(n_items):
-            category = self.rng.choices(self._categories,
-                                        weights=self._weights)[0]
-            if not allow_heavy and category in self._HEAVY:
-                category = "move"
-            getattr(self, f"_emit_{category}")(b)
+            weighted_draw(random, emitters, cum_weights)(b)
 
     # -- operand construction ------------------------------------------------
 
@@ -631,9 +685,7 @@ class ProgramGenerator:
 
     def _emit_bit_branch(self, b) -> None:
         rng = self.rng
-        mnem = rng.choices(
-            ("BBS", "BBC", "BBSS", "BBCC", "BBCS", "BBSC"),
-            weights=(32, 32, 12, 12, 6, 6))[0]
+        mnem = weighted_draw(rng.random, _BIT_BRANCHES, _BIT_BRANCH_CUM)
         pos = enc.literal(rng.randrange(8)) if rng.random() < 0.4 \
             else enc.register(7)
         base = enc.displacement(11, self._scalar_offset()) \
@@ -830,10 +882,7 @@ class ProgramGenerator:
                    enc.literal(rng.randrange(64)))
         # else: branch on whatever the preceding instruction left in the
         # condition codes, as compiled code often does.
-        mnem = rng.choices(
-            ("BLSS", "BGEQ", "BGTR", "BLEQ", "BNEQ", "BEQL", "BCC", "BCS",
-             "BGTRU"),
-            weights=(18, 18, 18, 18, 11, 11, 2, 2, 2))[0]
+        mnem = weighted_draw(rng.random, _COND_BRANCHES, _COND_BRANCH_CUM)
         b.branch(mnem, skip)
         self._emit_filler(b, rng.randrange(1, 3))
         b.label(skip)

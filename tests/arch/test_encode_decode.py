@@ -66,6 +66,49 @@ class TestOperandEncoding:
             enc.encode_instruction(opcode("MOVL"), [enc.register(0)])
 
 
+class TestInternedOperands:
+    """Registers and short literals are shared instances; each must
+    encode exactly as a freshly built operand does."""
+
+    KINDS = (opcode("MOVB").specifier_operands[0],
+             opcode("MOVL").specifier_operands[1],
+             opcode("MOVQ").specifier_operands[0])
+
+    @pytest.mark.parametrize("reg", range(16))
+    def test_register_encodes_like_a_fresh_operand(self, reg):
+        fresh = enc.Operand(AddressingMode.REGISTER, register=reg)
+        interned = enc.register(reg)
+        assert interned is enc.register(reg)
+        for kind in self.KINDS:
+            assert enc.encode_operand(interned, kind) == \
+                enc.encode_operand(fresh, kind) == bytes([0x50 | reg])
+
+    @pytest.mark.parametrize("value", range(64))
+    def test_literal_encodes_like_a_fresh_operand(self, value):
+        fresh = enc.Operand(AddressingMode.SHORT_LITERAL, value=value)
+        interned = enc.literal(value)
+        assert interned is enc.literal(value)
+        for kind in self.KINDS:
+            assert enc.encode_operand(interned, kind) == \
+                enc.encode_operand(fresh, kind) == bytes([value])
+
+    def test_indexing_an_operand_leaves_it_unchanged(self):
+        base = enc.register_deferred(9)
+        indexed = base.indexed(7)
+        assert base.index_register is None
+        assert enc.encode_operand(base, self.KINDS[1]) == bytes([0x69])
+        assert enc.encode_operand(indexed, self.KINDS[1]) == \
+            bytes([0x47, 0x69])
+
+    def test_out_of_range_literal_rejected(self):
+        with pytest.raises(enc.EncodeError):
+            enc.literal(64)
+
+    def test_unencodable_mode_rejected_when_built(self):
+        with pytest.raises(enc.EncodeError, match="RELATIVE"):
+            enc.Operand(AddressingMode.RELATIVE, register=15)
+
+
 class TestDecode:
     def test_movl_register_to_register(self):
         inst = decode_bytes(bytes([0xD0, 0x50, 0x51]))

@@ -79,6 +79,25 @@ class TestProgramBuilder:
         assert table_base + inst.case_table[1] == image.address_of("c1")
 
 
+class TestEmitErrors:
+    """A failed ``emit`` raises as the encoder or assembler does and
+    leaves the builder as it was."""
+
+    def test_wrong_operand_count_raises_encode_error(self):
+        b = ProgramBuilder()
+        b.emit("HALT")
+        with pytest.raises(enc.EncodeError, match="takes 2 specifier"):
+            b.emit("MOVL", enc.register(0))
+        with pytest.raises(enc.EncodeError):
+            b.emit("MOVL", enc.register(0), enc.register(1),
+                   enc.register(2))
+        assert b.assemble(0).data == bytes([0x00])
+
+    def test_branch_mnemonic_raises_assembly_error(self):
+        with pytest.raises(AssemblyError, match="use branch"):
+            ProgramBuilder().emit("BRB")
+
+
 class TestTextAssembler:
     def test_simple_program(self):
         image = assemble_text("""

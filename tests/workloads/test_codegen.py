@@ -1,10 +1,16 @@
 """Workload generator tests: determinism, well-formedness, profiles."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.arch.decode import decode_instruction
 from repro.arch.opcodes import OPCODES_BY_VALUE
-from repro.workloads.codegen import GeneratedProgram, ProgramGenerator
+from repro.workloads.codegen import (_BIT_BRANCH_CUM, _BIT_BRANCHES,
+                                     _COND_BRANCH_CUM, _COND_BRANCHES,
+                                     GeneratedProgram, ProgramGenerator,
+                                     printable_text, weighted_draw)
 from repro.workloads.profiles import (COMMERCIAL, SCIENTIFIC,
                                       STANDARD_PROFILES,
                                       TIMESHARING_RESEARCH)
@@ -69,6 +75,12 @@ class TestWellFormedness:
             for _ in range(10):
                 inst = decode_instruction(fetch, addr)
                 addr = inst.next_pc
+
+    def test_generated_program_is_read_only(self):
+        prog = generate()
+        assert isinstance(prog.subroutine_entries, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.code = b""
 
     def test_data_regions_sized_to_profile(self):
         prog = generate()
@@ -135,3 +147,72 @@ class TestProfiles:
         prog = ProgramGenerator(profile, seed=11).generate()
         assert isinstance(prog, GeneratedProgram)
         assert len(prog.code) > 4096
+
+
+def printable_text_per_byte(rng, count):
+    """The generator's string region the slow way: one ``getrandbits(7)``
+    per attempt, rejecting draws of 95 and up, exactly as
+    ``randrange(0x20, 0x7F)`` draws.  Returns (text, words drawn)."""
+    out = bytearray(count)
+    words = 0
+    for i in range(count):
+        r = rng.getrandbits(7)
+        words += 1
+        while r >= 95:
+            r = rng.getrandbits(7)
+            words += 1
+        out[i] = 0x20 + r
+    return out, words
+
+
+class TestFastPathReferences:
+    """Each batched draw equals the slow draw it replaced, byte for byte
+    and with the generator left in the same state."""
+
+    @pytest.mark.parametrize("seed,string_kb", [
+        (0, 1), (1984, 8), (2024, 16), (7, 4), (123456789, 2)])
+    def test_string_region_equals_the_per_byte_loop(self, seed, string_kb):
+        count = string_kb * 1024
+        slow, fast = random.Random(seed), random.Random(seed)
+        expected, words = printable_text_per_byte(slow, count)
+        # Rejections leave the first batch of ``count`` words short, so
+        # the batched draw needs a second batch.
+        assert words > count
+        assert printable_text(fast, count) == expected
+        assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 50])
+    def test_short_string_regions(self, count):
+        for seed in range(40):
+            slow, fast = random.Random(seed), random.Random(seed)
+            assert printable_text(fast, count) == \
+                printable_text_per_byte(slow, count)[0]
+            assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("population,cum_weights", [
+        (_BIT_BRANCHES, _BIT_BRANCH_CUM), (_COND_BRANCHES, _COND_BRANCH_CUM),
+        (("a", "b", "c", "d"), [0.5, 0.5, 2.75, 3.75])])
+    def test_weighted_draw_equals_random_choices(self, population,
+                                                 cum_weights):
+        slow, fast = random.Random(99), random.Random(99)
+        for _ in range(2000):
+            assert weighted_draw(fast.random, population, cum_weights) == \
+                slow.choices(population, cum_weights=cum_weights)[0]
+        assert fast.getstate() == slow.getstate()
+
+    def test_category_draw_equals_random_choices(self):
+        """The generator's summed-once weights draw the emitter that
+        ``choices(weights=...)`` over the profile's weights draws."""
+        p = TIMESHARING_RESEARCH
+        gen = ProgramGenerator(p, seed=3)
+        weights = (p.move, p.arith, p.boolean, p.cmp_test, p.mova_push,
+                   p.field_ops, p.bit_branch, p.low_bit_test, p.float_ops,
+                   p.int_muldiv, p.char_ops, p.decimal_ops, p.queue_ops,
+                   p.probe_ops, p.case_branch, p.cond_branch,
+                   p.uncond_branch, p.jmp_branch)
+        emitters = gen._emitters
+        slow, fast = random.Random(5), random.Random(5)
+        for _ in range(2000):
+            assert weighted_draw(fast.random, emitters, gen._cum_weights) \
+                == slow.choices(emitters, weights=weights)[0]
+        assert fast.getstate() == slow.getstate()
