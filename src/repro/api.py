@@ -283,7 +283,8 @@ SHARED_PARAMS = {
                           "when any would (explore, co-queued serve "
                           "jobs; characterize runs the same lanes under "
                           "every value; validate --fuzz checks the named "
-                          "engine); results are bit-identical; "
+                          "engine on the named machine); results are "
+                          "bit-identical; "
                           "validated before anything simulates"),
     "machine": Param(str, "machine backend: vax780 (default, the "
                           "paper's machine) or uvax78032 (MicroVAX "
@@ -1087,16 +1088,9 @@ class ValidateResult(_Result):
 
 
 def _validate_args(args: dict) -> dict:
-    from repro.machines import DEFAULT_MACHINE
-
     engine = _engine(args["engine"], choices=("scalar", "batch"))
     machine = _machine(args["machine"])
     names = _workload_names(args["workloads"], machine)
-    if machine != DEFAULT_MACHINE and args["fuzz_cases"]:
-        raise ApiError(
-            f"differential fuzzing validates the {DEFAULT_MACHINE} "
-            f"engines; drop fuzz_cases (--fuzz) to validate machine "
-            f"{machine!r}")
     fuzz_instructions = args["fuzz_instructions"]
     if args["smoke"]:
         fuzz_instructions = min(fuzz_instructions, 200)
@@ -1133,12 +1127,12 @@ def validate(instructions: int = None, fuzz_cases: int = 0,
     independent scalar runs, capturing each case at several prefix
     boundaries.  ``auto`` is rejected here — a validation run must name
     the engine it is validating.  ``machine`` selects the backend the
-    workloads run on; the conservation laws are chosen to match its
-    capabilities (no IB / overlapped-decode laws on a machine without
-    them), and the fuzzer — which differences the 780's fast path
-    against its reference spec — only runs on the default machine.
-    ``jobs`` parallelises the fuzz cases; the results (and every shrunk
-    reproducer) are byte-identical at any value.
+    workloads run on and the fuzzer fuzzes; the conservation laws are
+    chosen to match its capabilities (no IB / overlapped-decode laws on
+    a machine without them), and the fuzz cases draw from every
+    generator workload it supports.  ``jobs`` parallelises the fuzz
+    cases; the results (and every shrunk reproducer) are
+    byte-identical at any value.
     """
     args = _validate_args(locals())
     from repro.validate import check_measurement, fuzz, fuzz_batch
@@ -1158,7 +1152,8 @@ def validate(instructions: int = None, fuzz_cases: int = 0,
         fuzz_results = tuple(
             fuzzer(fuzz_cases, seed=seed,
                    instructions=fuzz_instructions,
-                   progress=progress, jobs=jobs)) if fuzz_cases else ()
+                   progress=progress, jobs=jobs,
+                   machine=machine_name)) if fuzz_cases else ()
     divergences = sum(1 for r in fuzz_results if not r["ok"])
     invariants_ok = all(report.ok for report in reports)
     return ValidateResult(

@@ -76,10 +76,14 @@ class PendingInterrupt:
 
 
 class VAX780:
-    """The complete simulated machine."""
+    """The complete simulated machine.
+
+    ``ebox`` is the EBOX class to build; the differential harness
+    passes its per-cycle reference spec.
+    """
 
     def __init__(self, params: MachineParams = VAX780_PARAMS,
-                 name: str = "vax780") -> None:
+                 name: str = "vax780", ebox=EBox) -> None:
         self.params = params
         #: Registry name of the machine backend these params model (the
         #: timing policy is entirely params-driven; the name labels
@@ -100,7 +104,7 @@ class VAX780:
         self.s0_table = RegionTable(self.s0_table_pa, npages)
         self.translator = Translator(self.mem.memory, self.s0_table)
 
-        self.ebox = EBox(params, self.mem, self.tb, self.translator,
+        self.ebox = ebox(params, self.mem, self.tb, self.translator,
                          self.umap, self.board, self.tracer)
         self.ebox.mtpr_hook = self._mtpr
         self.ebox.mfpr_hook = self._mfpr

@@ -277,21 +277,24 @@ def calibrate(profile: str, machine: str = None,
     """Fit a :class:`WorkloadMix` from simulator runs at the anchors.
 
     ``profile`` names a registered generator workload; the anchor runs
-    go through the memoised workload engine, so repeated calibrations —
-    and anything else at those budgets — are free after the first.
+    go through the memoised workload engine as lanes of one cohort (they
+    differ only in budget, so one machine runs them all), and repeated
+    calibrations — and anything else at those budgets — are free after
+    the first.
     """
+    from repro.batch import LaneSpec
     from repro.workloads import engine as _engines
 
-    name = _generator_spec(profile).name
+    spec = _generator_spec(profile)
     machine = get_machine(machine).name
     anchors = tuple(sorted(anchors))
     if not anchors or anchors[0] <= 0 or len(set(anchors)) < 2:
         raise AnalyticalError(
             f"calibration needs at least two distinct positive anchor "
             f"budgets, got {anchors!r}")
-    reds = [_reduction(_engines.run_workload(name, n, seed=seed,
-                                             machine=machine))
-            for n in anchors]
+    spec.check_machine(machine)
+    reds = [_reduction(measurement) for measurement in _engines.measure(
+        [LaneSpec(spec.name, n, seed, machine=machine) for n in anchors])]
     keys = sorted({key for red in reds for key in red.cells
                    if red.cells[key]},
                   key=lambda key: (key[0].name, key[1].name))
@@ -306,7 +309,7 @@ def calibrate(profile: str, machine: str = None,
         for group in sorted(last.group_instructions,
                             key=lambda g: g.name)
         if last.group_instructions[group])
-    return WorkloadMix(name, machine, anchors, cells, group_mix)
+    return WorkloadMix(spec.name, machine, anchors, cells, group_mix)
 
 
 def kernel_mix(kernel, machine: str = None) -> WorkloadMix:

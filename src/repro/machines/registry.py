@@ -47,16 +47,19 @@ class MachineSpec:
     #: Headline CPI from the literature, for report labels.
     cpi_nominal: float = 0.0
 
-    def build(self, params: MachineParams = None):
+    def build(self, params: MachineParams = None, ebox=None):
         """A fresh simulator for this machine (optionally overridden).
 
         ``params`` defaults to the spec's own; an explorer sweeping an
         axis passes ``spec.params.with_overrides(...)`` instead.
+        ``ebox`` defaults to the optimised EBOX; the differential
+        harness passes its per-cycle reference class.
         """
+        from repro.cpu.ebox import EBox
         from repro.cpu.machine import VAX780
 
         return VAX780(self.params if params is None else params,
-                      name=self.name)
+                      name=self.name, ebox=EBox if ebox is None else ebox)
 
     def adapt_profile(self, profile):
         """``profile`` restricted to this machine's instruction subset."""

@@ -419,7 +419,7 @@ def probe_ubench(machine: str, seed: int, jobs: int = 1,
 
 
 def _profile_overrides(profile) -> dict:
-    """The fuzz profile's deltas against its standard base profile."""
+    """The fuzz profile's deltas against its registered base profile."""
     from dataclasses import fields as dc_fields
 
     from repro.workloads.registry import WORKLOADS
@@ -435,10 +435,12 @@ def _profile_overrides(profile) -> dict:
             and getattr(profile, spec.name) != getattr(base, spec.name)}
 
 
-def probe_differential(assumption: str, kind: str, count: int,
-                       seed: int, instructions: int, jobs: int = 1,
-                       plant: str = None, progress=None) -> dict:
-    """Fuzz one engine-identity assumption and shrink any divergence.
+def probe_differential(assumption: str, kind: str, machine: str,
+                       count: int, seed: int, instructions: int,
+                       jobs: int = 1, plant: str = None,
+                       progress=None) -> dict:
+    """Fuzz one engine-identity assumption on ``machine`` and shrink
+    any divergence.
 
     ``kind`` selects the fuzz axis (``reference`` or ``batch``); the
     shrinking happens inside :mod:`repro.validate.differential`'s
@@ -448,10 +450,10 @@ def probe_differential(assumption: str, kind: str, count: int,
     """
     from repro.validate.differential import _fuzz_loop
 
-    point = ProbePoint(machine="vax780", instructions=instructions,
+    point = ProbePoint(machine=machine, instructions=instructions,
                        seed=seed, workload=None)
     results = _fuzz_loop(count, seed, instructions, progress, kind,
-                         jobs=jobs, plant=plant)
+                         jobs=jobs, plant=plant, machine=machine)
     violations = []
     for result in results:
         if result["ok"]:
@@ -473,7 +475,7 @@ def probe_differential(assumption: str, kind: str, count: int,
                            for step, pc, mnemonic in divergence.window],
             }))
     return {"assumption": assumption, "point": point.to_json(),
-            "label": f"fuzz-{kind} x{count} n={instructions}",
+            "label": f"fuzz-{kind} {machine} x{count} n={instructions}",
             "checks": len(results), "ok": not violations,
             "margin": 0.0 if violations else 1.0,
             "violations": violations}

@@ -11,10 +11,15 @@ means the loop itself is broken.
 
 Perturbations patch *class* attributes (never instances) and the
 context manager restores the originals even on error, so a planted
-campaign leaves no trace in the process.  Pool workers apply their
-plant inside the worker (the name travels in the task payload), so a
-planted run is deterministic regardless of the multiprocessing start
-method or ``--jobs``.
+campaign leaves no trace in the process.  A fast-path plant patches
+:class:`~repro.cpu.ebox.EBox`, the class every registered machine
+builds by default, while the reference machines the differential
+fuzzer builds through the same registry override the patched methods;
+the campaign fuzzes every machine it names, so such a plant is probed
+on each backend.  Pool workers apply their plant inside the worker
+(the name travels in the task payload), so a planted run is
+deterministic regardless of the multiprocessing start method or
+``--jobs``.
 
 This module deliberately imports nothing from :mod:`repro.validate` or
 :mod:`repro.refute.assumptions` (the patch targets are imported lazily
@@ -48,8 +53,9 @@ def _install_ib_take_extra_cycle():
 
     :class:`~repro.validate.differential.ReferenceEBox` overrides
     ``ib_take``, so only the optimised engine is skewed — the classic
-    fast-path-only regression.  The extra ``tick`` advances time
-    without a histogram count, so cycle conservation breaks too.
+    fast-path-only regression, on every machine.  The extra ``tick``
+    advances time without a histogram count, so cycle conservation
+    breaks too.
     """
     from repro.cpu.ebox import EBox
 

@@ -18,8 +18,8 @@ seed) space and tries to *refute* every registered assumption
    :func:`~repro.workloads.parallel.run_tasks` (order-preserving, so
    results are identical at any ``--jobs``), each probed against the
    conservation laws and the capability invariants.
-3. **Suite phases** — the ubench smoke suite per machine, and the two
-   differential fuzz axes (fast-vs-reference, batch-vs-scalar).
+3. **Suite phases** — the ubench smoke suite and the two differential
+   fuzz axes (fast-vs-reference, batch-vs-scalar), each per machine.
 4. **Shrink** — every measurement violation is bisected to its
    smallest failing budget; differential divergences arrive already
    shrunk by the fuzzer's own shrinkers.
@@ -365,15 +365,16 @@ def run_campaign(spec: CampaignSpec, seed: int = None, jobs: int = 1,
         probes.append(probe_ubench(machine, seed=seed, jobs=jobs,
                                    plant=plant))
 
-    # Phase 4: the two differential axes (780 engines only).
-    probes.append(probe_differential(
-        "fastpath-reference-identity", "reference", spec.fuzz_cases,
-        seed=seed, instructions=spec.fuzz_budget, jobs=jobs,
-        plant=plant, progress=progress))
-    probes.append(probe_differential(
-        "batch-scalar-identity", "batch", spec.batch_cases, seed=seed,
-        instructions=spec.fuzz_budget, jobs=jobs, plant=plant,
-        progress=progress))
+    # Phase 4: the two differential axes per machine.
+    for machine in spec.machines:
+        probes.append(probe_differential(
+            "fastpath-reference-identity", "reference", machine,
+            spec.fuzz_cases, seed=seed, instructions=spec.fuzz_budget,
+            jobs=jobs, plant=plant, progress=progress))
+        probes.append(probe_differential(
+            "batch-scalar-identity", "batch", machine, spec.batch_cases,
+            seed=seed, instructions=spec.fuzz_budget, jobs=jobs,
+            plant=plant, progress=progress))
 
     # Shrink: bisect measurement violations to minimal budgets (the
     # differential reproducers are already minimal).  One bisection

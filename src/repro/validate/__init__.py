@@ -9,9 +9,11 @@ contracts into permanent, executable checks:
   any completed :class:`~repro.analysis.measurement.Measurement`.
 * :mod:`repro.validate.differential` — the optimised EBOX fast paths run
   in lockstep against the per-cycle reference implementations on seeded
-  random workloads, with failing runs shrunk to a minimal reproducer;
-  a second axis differences the batch engine (:mod:`repro.batch`)
-  against independent scalar runs the same way.
+  random generator workloads, on any registered machine (both built
+  through the machine registry), comparing whole measurements, with
+  failing runs shrunk to the first divergent boundary; a second axis
+  differences the batch engine (:mod:`repro.batch`) against
+  independent scalar runs the same way.
 * :mod:`repro.validate.paranoid` — a boundary-hook monitor that samples
   the invariants during long runs at bounded overhead.
 """

@@ -8,18 +8,23 @@ implementations (``tick_reference`` / ``ib_take_reference`` plus
 straightforward chunked reads and writes through the memory subsystem).
 
 The harness here boots *two* complete machines on the same seeded random
-workload — one per engine — and steps them in lockstep, comparing
-architectural state at every instruction boundary and the full histogram
-count sets at checkpoints.  Workload generation goes through the normal
+workload — one per engine, both built through the machine registry, so
+every registered backend is fuzzed the same way — and steps them in
+lockstep, comparing architectural state at every instruction boundary
+and whole captured measurements (cycles, both histogram count sets,
+every tracer counter, every memory statistic) at checkpoints and at the
+end.  Workload generation goes through the normal
 :mod:`repro.workloads.codegen` path via the executive, so the fuzzer
-exercises exactly the instruction mix the experiments do, across
-randomly perturbed profiles.
+exercises exactly the instruction mix the experiments do: every
+registered generator workload the machine supports, with randomly
+perturbed profiles.
 
-Everything is deterministic given (profile, seed), so a divergence found
-at instruction boundary *k* reproduces on a re-run with the instruction
-budget shrunk to the first divergent boundary — :func:`shrink` exploits
-this to hand back a minimal reproducer with a disassembly window of at
-most :data:`WINDOW` instructions around the divergence.
+Everything is deterministic given (machine, profile, seed), so a
+divergence found at instruction boundary *k* reproduces on a re-run with
+the instruction budget shrunk to the first divergent boundary —
+:func:`shrink` exploits this to hand back a minimal reproducer with a
+disassembly window of at most :data:`WINDOW` instructions around the
+divergence.
 """
 
 from __future__ import annotations
@@ -29,17 +34,18 @@ from dataclasses import dataclass, replace
 import random
 
 from repro import obs
+from repro.analysis.measurement import Measurement
 from repro.arch.datatypes import MASKS
 from repro.obs import metrics
-from repro.cpu import machine as machine_mod
 from repro.cpu.ebox import EBox
+from repro.machines.registry import DEFAULT_MACHINE, get_machine
 from repro.osim.executive import Executive
 from repro.workloads.profiles import MixProfile
-from repro.workloads.registry import paper_workloads
+from repro.workloads.registry import WORKLOADS
 
 #: Instructions of context reported around a divergence.
 WINDOW = 10
-#: Instruction boundaries between full-histogram checkpoint compares.
+#: Instruction boundaries between whole-measurement checkpoint compares.
 CHECKPOINT = 256
 #: Cycle budget per measured instruction before a case is abandoned.
 CYCLE_LIMIT_FACTOR = 2000
@@ -95,15 +101,18 @@ class ReferenceEBox(EBox):
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """One differential run: a profile, a seed, and a budget."""
+    """One differential run: a profile, a seed, a budget, a machine."""
 
     profile: MixProfile
     seed: int
     instructions: int
+    machine: str = DEFAULT_MACHINE
 
     def label(self) -> str:
+        where = "" if self.machine == DEFAULT_MACHINE \
+            else f" on {self.machine}"
         return (f"{self.profile.name} seed={self.seed} "
-                f"n={self.instructions}")
+                f"n={self.instructions}" + where)
 
 
 @dataclass
@@ -157,33 +166,30 @@ _KNOBS = (
 )
 
 
-def random_case(rng: random.Random, index: int,
-                instructions: int) -> FuzzCase:
-    """Draw one fuzz case: a perturbed standard profile and a seed."""
-    # Paper profiles only, and via rng.choice over exactly five
-    # entries: widening the pool would shift every draw and change
-    # the deterministic fuzz corpus existing runs pin.
-    base = rng.choice([spec.profile for spec in paper_workloads()])
+def random_case(rng: random.Random, index: int, instructions: int,
+                machine: str = DEFAULT_MACHINE) -> FuzzCase:
+    """Draw one fuzz case: a perturbed generator workload and a seed.
+
+    The pool is every registered generator workload ``machine``
+    supports, in registration order.
+    """
+    base = rng.choice([spec.profile for spec in WORKLOADS.values()
+                       if spec.trace is None
+                       and spec.supported_on(machine)])
     overrides = {field: draw(rng) for field, draw in _KNOBS
                  if rng.random() < 0.4}
     profile = replace(base, name=f"fuzz{index}-{base.name}", **overrides)
-    return FuzzCase(profile, rng.randrange(1 << 30), instructions)
+    return FuzzCase(profile, rng.randrange(1 << 30), instructions, machine)
 
 
-def _boot(case: FuzzCase, reference: bool):
-    """A booted machine+executive pair for one engine."""
-    if reference:
-        original = machine_mod.EBox
-        machine_mod.EBox = ReferenceEBox
-        try:
-            machine = machine_mod.VAX780()
-        finally:
-            machine_mod.EBox = original
-    else:
-        machine = machine_mod.VAX780()
-    executive = Executive(machine, case.profile, seed=case.seed)
+def _boot(case: FuzzCase, reference: bool = False) -> Executive:
+    """A booted executive on a registry-built machine for one engine."""
+    spec = get_machine(case.machine)
+    machine = spec.build(ebox=ReferenceEBox if reference else None)
+    executive = Executive(machine, spec.adapt_profile(case.profile),
+                          seed=case.seed)
     executive.boot()
-    return machine
+    return executive
 
 
 def _mnemonic(machine, pc: int) -> str:
@@ -205,29 +211,41 @@ def _state(machine):
 _STATE_FIELDS = ("now", "pc", "registers", "psl", "instructions")
 
 
-def _histogram_field(fast, ref):
-    """Name of the first differing histogram component, or None."""
-    fb, rb = fast.board, ref.board
-    if fb.nonstalled != rb.nonstalled:
-        return "histogram.nonstalled"
-    if fb.stalled != rb.stalled:
-        return "histogram.stalled"
+def _measurement_field(fast, reference):
+    """Name + values of the first differing observable, or None.
+
+    Compares everything a measurement carries: cycle count, both
+    histogram count sets bucket by bucket, every tracer counter and
+    scalar, and every memory-subsystem statistic.
+    """
+    if fast.cycles != reference.cycles:
+        return "cycles", fast.cycles, reference.cycles
+    for kind in ("nonstalled", "stalled"):
+        mine = getattr(fast.histogram, kind)
+        theirs = getattr(reference.histogram, kind)
+        if mine != theirs:
+            for address, (a, b) in enumerate(zip(mine, theirs)):
+                if a != b:
+                    return f"histogram.{kind}[{address}]", a, b
+    for name in reference.tracer._SCALARS + reference.tracer._COUNTERS:
+        a, b = getattr(fast.tracer, name), getattr(reference.tracer, name)
+        if a != b:
+            return f"tracer.{name}", a, b
+    for name in type(reference.memory).__slots__:
+        a, b = getattr(fast.memory, name), getattr(reference.memory, name)
+        if a != b:
+            return f"memory.{name}", a, b
     return None
 
 
-def _first_bucket_diff(fast, ref, stalled: bool):
-    fb = fast.board.stalled if stalled else fast.board.nonstalled
-    rb = ref.board.stalled if stalled else ref.board.nonstalled
-    for address, (a, b) in enumerate(zip(fb, rb)):
-        if a != b:
-            return address, a, b
-    return None, None, None
-
-
 def run_case(case: FuzzCase, checkpoint: int = CHECKPOINT):
-    """Run one case in lockstep; returns a Divergence or None."""
-    fast = _boot(case, reference=False)
-    ref = _boot(case, reference=True)
+    """Run one case in lockstep; returns a Divergence or None.
+
+    Captures are passive, so the checkpoint compares change no machine
+    state.
+    """
+    fast = _boot(case).machine
+    ref = _boot(case, reference=True).machine
     window = deque(maxlen=WINDOW)
     cycle_limit = case.instructions * CYCLE_LIMIT_FACTOR
     step = 0
@@ -235,6 +253,11 @@ def run_case(case: FuzzCase, checkpoint: int = CHECKPOINT):
     def diverged(field, a, b):
         return Divergence(case, step, fast.tracer.instructions, field,
                           a, b, list(window))
+
+    def measured():
+        return _measurement_field(
+            Measurement.capture(case.profile.name, fast),
+            Measurement.capture(case.profile.name, ref))
 
     while fast.tracer.instructions < case.instructions:
         if fast.halted or ref.halted:
@@ -252,32 +275,14 @@ def run_case(case: FuzzCase, checkpoint: int = CHECKPOINT):
                 if a != b:
                     return diverged(name, a, b)
         if step % checkpoint == 0:
-            field = _histogram_field(fast, ref)
-            if field is not None:
-                address, a, b = _first_bucket_diff(
-                    fast, ref, field == "histogram.stalled")
-                return diverged(f"{field}[{address}]", a, b)
+            difference = measured()
+            if difference is not None:
+                return diverged(*difference)
 
     if fast.halted != ref.halted:
         return diverged("halted", fast.halted, ref.halted)
-    field = _histogram_field(fast, ref)
-    if field is not None:
-        address, a, b = _first_bucket_diff(
-            fast, ref, field == "histogram.stalled")
-        return diverged(f"{field}[{address}]", a, b)
-    fast_scalars = {name: getattr(fast.tracer, name)
-                    for name in ("tb_miss_cycles", "tb_miss_stall_cycles",
-                                 "page_faults", "tb_miss_faults",
-                                 "instruction_aborts", "interrupts",
-                                 "exceptions", "overlapped_decodes")}
-    ref_scalars = {name: getattr(ref.tracer, name)
-                   for name in fast_scalars}
-    if fast_scalars != ref_scalars:
-        name = next(n for n in fast_scalars
-                    if fast_scalars[n] != ref_scalars[n])
-        return diverged(f"tracer.{name}", fast_scalars[name],
-                        ref_scalars[name])
-    return None
+    difference = measured()
+    return None if difference is None else diverged(*difference)
 
 
 def shrink(divergence: Divergence) -> Reproducer:
@@ -288,16 +293,20 @@ def shrink(divergence: Divergence) -> Reproducer:
     measured instructions is sufficient (boundary *k* executes while
     the measured count is still ``instructions``), and re-running
     confirms it.  Checkpoint compares run every boundary during the
-    confirmation so histogram divergences localize exactly.
+    confirmation, so it may place the divergence earlier than the
+    search did; the cut then iterates to a fixed point.
     """
-    budget = max(1, divergence.instructions + 1)
-    small = replace(divergence.case, instructions=budget)
-    confirmed = run_case(small, checkpoint=1)
-    if confirmed is None:
-        # Not reproducible under the smaller budget (should not happen
-        # for a deterministic engine); fall back to the original.
-        return Reproducer(divergence.case, divergence)
-    return Reproducer(small, confirmed)
+    case, best = divergence.case, divergence
+    while True:
+        small = replace(case, instructions=best.instructions + 1)
+        confirmed = run_case(small, checkpoint=1)
+        if confirmed is None:
+            # Not reproducible under the smaller budget (should not
+            # happen for a deterministic engine); keep the evidence.
+            return Reproducer(case, best)
+        case, best = small, confirmed
+        if best.instructions + 1 >= case.instructions:
+            return Reproducer(case, best)
 
 
 def _fuzz_task(payload):
@@ -321,7 +330,8 @@ def _fuzz_task(payload):
 
 
 def _fuzz_loop(count: int, seed: int, instructions: int, progress,
-               kind: str, jobs: int = 1, plant: str = None) -> list:
+               kind: str, jobs: int = 1, plant: str = None,
+               machine: str = DEFAULT_MACHINE) -> list:
     """The shared fuzz driver: draw cases, run, shrink divergences.
 
     Case drawing happens up front from one seeded RNG and results come
@@ -333,7 +343,7 @@ def _fuzz_loop(count: int, seed: int, instructions: int, progress,
     from repro.workloads.parallel import run_tasks
 
     rng = random.Random(seed)
-    cases = [random_case(rng, index, instructions)
+    cases = [random_case(rng, index, instructions, machine)
              for index in range(count)]
     payloads = [(kind, case, plant) for case in cases]
     results = run_tasks(_fuzz_task, payloads, jobs=jobs)
@@ -355,7 +365,8 @@ def _fuzz_loop(count: int, seed: int, instructions: int, progress,
 
 
 def fuzz(count: int, seed: int, instructions: int = 400,
-         progress=None, jobs: int = 1, plant: str = None) -> list:
+         progress=None, jobs: int = 1, plant: str = None,
+         machine: str = DEFAULT_MACHINE) -> list:
     """Run ``count`` random fast-vs-reference differential cases.
 
     Returns a list of result dicts, one per case, each with the case
@@ -363,7 +374,8 @@ def fuzz(count: int, seed: int, instructions: int = 400,
     results are byte-identical at any ``jobs``.
     """
     return _fuzz_loop(count, seed, instructions, progress,
-                      kind="reference", jobs=jobs, plant=plant)
+                      kind="reference", jobs=jobs, plant=plant,
+                      machine=machine)
 
 
 # -- scalar <-> batch ----------------------------------------------------
@@ -389,51 +401,12 @@ def batch_targets(instructions: int) -> list:
 
 def _scalar_lane(case: FuzzCase, target: int):
     """One scalar-engine run to ``target``: (measurement, error)."""
-    from repro.analysis.measurement import Measurement
-
-    machine = machine_mod.VAX780()
-    executive = Executive(machine, case.profile, seed=case.seed)
-    executive.boot()
+    executive = _boot(case)
     try:
         executive.run(target)
     except RuntimeError as exc:
         return None, str(exc)
-    return Measurement.capture(case.profile.name, machine), None
-
-
-_MEMORY_FIELDS = ("cache_read_hits", "cache_read_misses",
-                  "cache_write_hits", "cache_write_misses", "tb_hits",
-                  "tb_misses", "tb_d_misses", "tb_i_misses",
-                  "ib_references", "ib_bytes_delivered",
-                  "unaligned_reads", "unaligned_writes",
-                  "write_stall_cycles", "writes")
-
-
-def _measurement_field(batch, scalar):
-    """Name + values of the first differing observable, or None.
-
-    Compares everything a measurement carries: cycle count, both
-    histogram count sets bucket by bucket, every tracer counter and
-    scalar, and the memory-subsystem statistics.
-    """
-    if batch.cycles != scalar.cycles:
-        return "cycles", batch.cycles, scalar.cycles
-    for kind in ("nonstalled", "stalled"):
-        mine = getattr(batch.histogram, kind)
-        theirs = getattr(scalar.histogram, kind)
-        if mine != theirs:
-            for address, (a, b) in enumerate(zip(mine, theirs)):
-                if a != b:
-                    return f"histogram.{kind}[{address}]", a, b
-    for name in scalar.tracer._SCALARS + scalar.tracer._COUNTERS:
-        a, b = getattr(batch.tracer, name), getattr(scalar.tracer, name)
-        if a != b:
-            return f"tracer.{name}", a, b
-    for name in _MEMORY_FIELDS:
-        a, b = getattr(batch.memory, name), getattr(scalar.memory, name)
-        if a != b:
-            return f"memory.{name}", a, b
-    return None
+    return Measurement.capture(case.profile.name, executive.machine), None
 
 
 def run_case_batch(case: FuzzCase):
@@ -447,7 +420,8 @@ def run_case_batch(case: FuzzCase):
     from repro.batch import LaneSpec, BatchRunner
 
     targets = batch_targets(case.instructions)
-    lanes = [LaneSpec(case.profile.name, target, case.seed)
+    lanes = [LaneSpec(case.profile.name, target, case.seed,
+                      machine=case.machine)
              for target in targets]
     runner = BatchRunner(lanes,
                          profiles={case.profile.name: case.profile})
@@ -489,16 +463,18 @@ def shrink_batch(divergence: Divergence) -> Reproducer:
 
 
 def fuzz_batch(count: int, seed: int, instructions: int = 400,
-               progress=None, jobs: int = 1, plant: str = None) -> list:
+               progress=None, jobs: int = 1, plant: str = None,
+               machine: str = DEFAULT_MACHINE) -> list:
     """Run ``count`` random scalar-vs-batch differential cases.
 
     Same result shape as :func:`fuzz`: one dict per case with either
-    ``None`` or a shrunk :class:`Reproducer`.  The same (seed, count)
-    draws the same cases as the reference fuzz, so a profile that
-    diverges on one axis can be replayed on the other.
+    ``None`` or a shrunk :class:`Reproducer`.  The same (seed, count,
+    machine) draws the same cases as the reference fuzz, so a profile
+    that diverges on one axis can be replayed on the other.
     """
     return _fuzz_loop(count, seed, instructions, progress,
-                      kind="batch", jobs=jobs, plant=plant)
+                      kind="batch", jobs=jobs, plant=plant,
+                      machine=machine)
 
 
 #: kind -> (runner, shrinker); the fuzz axes workers dispatch on.

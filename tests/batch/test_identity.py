@@ -13,12 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.measurement import Measurement, composite
+from repro.analysis.measurement import Measurement, MemoryStats, composite
 from repro.batch import LaneSpec, run_lanes
 from repro.cpu.machine import VAX780
 from repro.machines.registry import get_machine
 from repro.osim.executive import HALTED_ERROR, Executive
-from repro.validate.differential import _MEMORY_FIELDS
 from repro.workloads.profiles import STANDARD_PROFILES, \
     TIMESHARING_RESEARCH
 
@@ -64,7 +63,7 @@ def assert_identical(batch: Measurement, scalar: Measurement) -> None:
     for name in scalar.tracer._SCALARS + scalar.tracer._COUNTERS:
         assert getattr(batch.tracer, name) == \
             getattr(scalar.tracer, name), f"tracer.{name}"
-    for name in _MEMORY_FIELDS:
+    for name in MemoryStats.__slots__:
         assert getattr(batch.memory, name) == \
             getattr(scalar.memory, name), f"memory.{name}"
 

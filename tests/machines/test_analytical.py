@@ -9,7 +9,9 @@ from repro.machines import (ERROR_BOUND, EXTRAPOLATION_BOUND,
                             TRANSIENT_BOUND, AnalyticalError, calibrate,
                             check_estimate, kernel_mix, machine_names)
 from repro.machines.analytical import CALIBRATION_ANCHORS
+from repro.obs.metrics import scoped_registry
 from repro.ubench import model, suite
+from repro.workloads import engine
 from repro.workloads.profiles import STANDARD_PROFILES
 
 #: Scaled-down anchor envelope so the whole-workload checks run in
@@ -65,6 +67,31 @@ class TestWorkloadEstimates:
     def test_unknown_profile_is_an_analytical_error(self):
         with pytest.raises(AnalyticalError):
             calibrate("no-such-workload", anchors=MINI_ANCHORS)
+
+    @pytest.mark.parametrize("machine", machine_names())
+    def test_anchors_run_as_one_cohort(self, machine):
+        anchors = (400, 800, 1200)
+        engine.clear_cache()
+        with scoped_registry() as registry:
+            fused = calibrate("queue-kernel", machine, anchors=anchors)
+        assert registry.counter("batch.cohorts").value == 1
+        assert registry.counter("batch.captures").value == len(anchors)
+        # The same mix from independent per-anchor runs (memoised, so
+        # the second calibration simulates nothing).
+        engine.clear_cache()
+        for budget in anchors:
+            engine.run_workload("queue-kernel", budget, machine=machine)
+        with scoped_registry() as registry:
+            separate = calibrate("queue-kernel", machine, anchors=anchors)
+        assert registry.counter("batch.cohorts").value == 0
+        assert separate == fused
+
+    def test_refused_workload_is_a_workload_error(self):
+        from repro.workloads.registry import WorkloadError
+
+        with pytest.raises(WorkloadError):
+            calibrate("transaction-decimal", "uvax78032",
+                      anchors=MINI_ANCHORS)
 
 
 class TestColdStartSegment:

@@ -81,7 +81,10 @@ class TestFacade:
             assert "pdp11" in str(err.value)
             assert "vax780" in str(err.value)
 
-    def test_fuzzing_is_refused_on_a_subset_machine(self):
-        with pytest.raises(api.ApiError) as err:
-            api.validate(machine="uvax78032", fuzz_cases=2, smoke=True)
-        assert "fuzz" in str(err.value).lower()
+    def test_fuzzing_runs_on_a_subset_machine(self):
+        result = api.validate(machine="uvax78032", fuzz_cases=2,
+                              smoke=True)
+        assert result.ok and result.machine == "uvax78032"
+        assert len(result.fuzz_results) == 2
+        assert all(r["label"].endswith(" on uvax78032")
+                   for r in result.fuzz_results)

@@ -158,6 +158,8 @@ ACCEPTED = [
     _doc("validate", {"smoke": True, "engine": "scalar"}),
     _doc("validate", {"smoke": True, "machine": "uvax78032"}),
     _doc("validate", {"smoke": True}, default_machine="uvax78032"),
+    _doc("validate", {"smoke": True, "machine": "uvax78032",
+                      "fuzz_cases": 2}),
 ]
 
 #: Submissions that must stay rejected, and what the error must name.
@@ -206,8 +208,6 @@ REJECTED = [
     (_doc("validate", {"fuzz_cases": True}), ["fuzz_cases"]),
     (_doc("validate", {"workloads": []}), ["workloads"]),
     (_doc("validate", {"workloads": ["no-such-load"]}), ["no-such-load"]),
-    (_doc("validate", {"smoke": True, "machine": "uvax78032",
-                       "fuzz_cases": 2}), ["fuzz", "uvax78032"]),
     (_doc("validate", {"smoke": True, "machine": "pdp11"}), ["pdp11"]),
     (_doc("mine-bitcoin"), ["mine-bitcoin"]),
     # Facade parameters the service does not take from a client.

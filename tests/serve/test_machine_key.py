@@ -72,9 +72,10 @@ class TestServeDefaults:
         request = parse_request(doc, default_machine="uvax78032")
         assert request.canonical()["machine"] == "vax780"
 
-    def test_subset_machine_refuses_fuzzing(self):
-        with pytest.raises(api.ApiError) as err:
-            COMMANDS["validate"].from_payload(
-                {"smoke": True, "machine": "uvax78032",
-                 "fuzz_cases": 2})
-        assert "fuzz" in str(err.value)
+    def test_subset_machine_fuzzing_canonicalizes(self):
+        payload = {"smoke": True, "machine": "uvax78032", "fuzz_cases": 2}
+        canonical = COMMANDS["validate"].from_payload(payload).canonical()
+        assert canonical["machine"] == "uvax78032"
+        assert canonical["fuzz_cases"] == 2
+        assert key_of("validate", payload) != \
+            key_of("validate", dict(payload, machine="vax780"))

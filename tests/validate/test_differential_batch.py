@@ -9,6 +9,7 @@ to the first capture boundary that exhibits it.
 
 import pytest
 
+from repro.machines import machine_names
 from repro.refute.perturb import perturbation
 from repro.validate.differential import (FuzzCase, batch_targets,
                                          fuzz_batch, run_case_batch,
@@ -35,15 +36,22 @@ class TestCleanEngines:
         assert all(r["ok"] for r in results)
         assert all(r["reproducer"] is None for r in results)
 
+    def test_fuzz_batch_runs_clean_on_the_microvax(self):
+        results = fuzz_batch(2, seed=0, instructions=200,
+                             machine="uvax78032")
+        assert [r["ok"] for r in results] == [True, True]
+
     def test_fuzz_batch_draws_the_same_cases_as_fuzz(self):
         """Same (seed, count) -> same labels, so a divergence found on
         one axis can be replayed on the other."""
         from repro.validate.differential import fuzz
 
-        batch = fuzz_batch(2, seed=3, instructions=200)
-        scalar = fuzz(2, seed=3, instructions=200)
-        assert [r["label"] for r in batch] == \
-            [r["label"] for r in scalar]
+        for machine in machine_names():
+            batch = fuzz_batch(2, seed=3, instructions=200,
+                               machine=machine)
+            scalar = fuzz(2, seed=3, instructions=200, machine=machine)
+            assert [r["label"] for r in batch] == \
+                [r["label"] for r in scalar]
 
 
 class TestBrokenSink:
@@ -79,6 +87,14 @@ class TestBrokenSink:
         reproducer = results[0]["reproducer"]
         assert reproducer is not None
         assert reproducer.divergence.field == "histogram.nonstalled[7]"
+
+    def test_caught_on_the_microvax(self, corrupted_bucket):
+        results = fuzz_batch(1, seed=0, instructions=120,
+                             machine="uvax78032")
+        reproducer = results[0]["reproducer"]
+        assert reproducer.case.machine == "uvax78032"
+        assert reproducer.divergence.field == "histogram.nonstalled[7]"
+        assert reproducer.case.instructions == 1
 
 
 class TestErrorMismatch:
