@@ -14,13 +14,15 @@ workload engine (:mod:`repro.workloads.engine`), design-space sweeps
 
 Cohorts that differ only in params overrides boot the same programs:
 the generator sees the workload, the seed and the machine's adapted
-profile, never a MachineParams field.  The runner generates each
-(workload, seed, machine) program set once
-(:func:`repro.osim.executive.generate_programs`), at the first cohort
+profile, never a MachineParams field.  The runner keeps one
+(workload, seed, machine) program set
+(:func:`repro.osim.executive.generate_programs`) from the first cohort
 that needs it, hands it to the later ones and lets it go once the last
-has booted, so a params sweep pays for program generation once per
-workload instead of once per point.  A pool task runs one cohort and
-generates its own set.
+has booted.  A set generates a process's program only when some
+cohort's scheduler first dispatches that process, and keeps it, so a
+params sweep pays for each dispatched process's program once and for
+a never-dispatched one not at all.  A pool task runs one cohort and
+generates only what that cohort dispatches.
 
 Around each cohort the runner installs the passive boundary hooks a
 measured run may carry: the obs :class:`~repro.obs.ProgressSampler`
@@ -131,13 +133,7 @@ class BatchRunner:
 
     def _boot(self, cohort: Cohort) -> _CohortState:
         """A freshly booted machine for ``cohort``, built through the
-        machine registry.
-
-        The program set is generated before the machine is built:
-        generated after it, a set held for later cohorts lands among
-        the freed memory images and measurably slows the allocation
-        of the next one.
-        """
+        machine registry."""
         spec = get_machine(cohort.machine)
         profile = spec.adapt_profile(self.profiles[cohort.workload])
         programs = self._programs_for(cohort, profile)
@@ -148,13 +144,13 @@ class BatchRunner:
         executive.boot()
         return _CohortState(cohort, machine)
 
-    def _programs_for(self, cohort: Cohort, profile) -> tuple:
+    def _programs_for(self, cohort: Cohort, profile):
         """The program set ``cohort`` boots on.
 
-        Generated at the first cohort of its (workload, seed, machine),
-        held for the later ones and let go at the last: params
-        overrides never reach the generator, while the machine's
-        adapted profile may.
+        Made at the first cohort of its (workload, seed, machine), held
+        for the later ones and let go at the last: params overrides
+        never reach the generator, while the machine's adapted profile
+        may.
         """
         key = _program_key(cohort)
         programs = self._programs.pop(key, None)

@@ -32,8 +32,8 @@ from repro.ucode.map import MicrocodeMap
 from repro.ucode.registry import EXECUTORS
 from repro.ucode.rows import Row
 from repro.vm.address import PAGE_SHIFT, S0, S0_BASE, is_system_space, make_va
-from repro.vm.pagetable import (PTE_VALID, PageFault, RegionTable,
-                                Translator)
+from repro.vm.pagetable import (PageFault, RegionTable, Translator,
+                                pte_run)
 from repro.vm.tb import TranslationBuffer
 
 # Import for side effects: registers every execute flow.
@@ -58,6 +58,12 @@ _FUSABLE_FAMILIES = frozenset({
 })
 
 _REG_OR_LITERAL = (AddressingMode.REGISTER, AddressingMode.SHORT_LITERAL)
+
+
+def s0_table_base(memory_bytes: int) -> int:
+    """Physical base of the S0 page table: one PTE per physical page, at
+    the top of memory (see DESIGN.md on the single-level model)."""
+    return memory_bytes - 4 * (memory_bytes >> PAGE_SHIFT)
 
 
 class PendingInterrupt:
@@ -96,12 +102,9 @@ class VAX780:
         self.board = HistogramBoard()
         self.tracer = Tracer()
 
-        # The S0 page table lives at the top of physical memory, one PTE
-        # per physical page (see DESIGN.md on the single-level model).
-        npages = params.memory_bytes >> PAGE_SHIFT
-        table_bytes = 4 * npages
-        self.s0_table_pa = params.memory_bytes - table_bytes
-        self.s0_table = RegionTable(self.s0_table_pa, npages)
+        self.s0_table_pa = s0_table_base(params.memory_bytes)
+        self.s0_table = RegionTable(self.s0_table_pa,
+                                    params.memory_bytes >> PAGE_SHIFT)
         self.translator = Translator(self.mem.memory, self.s0_table)
 
         self.ebox = ebox(params, self.mem, self.tb, self.translator,
@@ -169,11 +172,7 @@ class VAX780:
         """Identity-map the first ``npages`` of S0 onto physical frames."""
         if npages is None:
             npages = self.params.memory_bytes >> PAGE_SHIFT
-        # One bulk image write: byte-identical to npages map_page calls.
-        self.mem.load_image(
-            self.s0_table.base_pa,
-            b"".join((PTE_VALID | page).to_bytes(4, "little")
-                     for page in range(npages)))
+        self.mem.load_image(self.s0_table.base_pa, pte_run(0, npages))
 
     def register_address_space(self, pcb_base: int, space) -> None:
         """Associate a PCB physical base with a process address space."""

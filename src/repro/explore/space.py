@@ -10,9 +10,10 @@ one-factor-at-a-time (the paper's style: vary one thing against the
 stock machine) or as a full Cartesian grid.
 
 Every enumerated point is validated eagerly — axis names must be real
-parameter fields and each point's :class:`MachineParams` must pass the
-geometry checks — so a sweep fails before the first simulation, not
-hours into it.
+parameter fields, each point's :class:`MachineParams` must pass the
+geometry checks and its memory must hold every swept workload's
+processes — so a sweep fails before the first simulation, not hours
+into it.
 """
 
 from __future__ import annotations
@@ -135,6 +136,18 @@ def _point(overrides: dict, instructions: int, seed: int,
     return point
 
 
+def _check_memory(point: Point, workload: str) -> None:
+    """Refuse a point whose memory cannot hold ``workload``'s processes."""
+    from repro.osim.executive import LayoutError, check_memory
+
+    profile = get_machine(point.machine).adapt_profile(
+        WORKLOADS[workload].profile)
+    try:
+        check_memory(profile, point.params().memory_bytes)
+    except LayoutError as exc:
+        raise SpaceError(f"invalid point {point.label()}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A named design-space sweep: axes, enumeration mode, workloads."""
@@ -189,7 +202,9 @@ class SweepSpec:
         if not self.workloads:
             raise SpaceError("spec selects no workloads")
         # Enumerate eagerly so a bad point fails at construction.
-        self.points()
+        for point in self.points():
+            for workload in self.workloads:
+                _check_memory(point, workload)
 
     def points(self) -> list:
         """All concrete points, deduplicated, baseline first."""

@@ -1,15 +1,25 @@
 """The executive: builds a bootable system around a workload profile.
 
 An :class:`Executive` lays out physical memory (SCB, kernel code and data,
-kernel stacks, PCBs, page tables, user frames), generates the kernel and
-one user program per process, installs devices and scheduler hooks, boots
-through the kernel's own VAX boot sequence, and runs a measurement window.
+kernel stacks, PCBs, page tables, user frames), generates the kernel,
+maps and initialises one process per profile slot, installs devices and
+scheduler hooks, boots through the kernel's own VAX boot sequence, and
+runs a measurement window.
 
-The user programs come from :func:`generate_programs`, the one place that
+A process's user program is generated and copied into its frames when
+the scheduler first selects it (the ``PR_NEXTPCB`` hook), not at boot:
+both context-switch paths of the kernel read NEXTPCB before LDPCTX, so
+the bytes are in place before the process's space can become current,
+and the copy is untimed.  Where a program lives depends only on the
+profile (:class:`~repro.workloads.codegen.ProgramLayout`), so boot lays
+every process out, frame for frame, as if its program were there; a
+process the run never dispatches is never generated.
+
+The programs come from :func:`generate_programs`, the one place that
 seeds each process's generator.  They depend only on the profile and the
 seed, never on the machine's timing params, so a caller booting several
 machines for one (profile, seed) — the cohort runner across a params
-sweep — may generate the set once and pass it to each executive.
+sweep — may share one set between their executives.
 
 Physical layout (all below the S0 page table at the top of memory)::
 
@@ -28,9 +38,11 @@ import struct
 
 from repro.arch.registers import KERNEL, SP, USER
 from repro.cpu.machine import (SCB_CHMK, SCB_CLOCK, SCB_PAGE_FAULT,
-                               SCB_SOFTWARE_BASE, SCB_TERMINAL, VAX780)
+                               SCB_SOFTWARE_BASE, SCB_TERMINAL, VAX780,
+                               s0_table_base)
 from repro.cpu.executors.system import (PCB_AP, PCB_FP, PCB_KSP, PCB_PC,
                                         PCB_PSL, PCB_USP)
+from repro.obs import metrics
 from repro.osim import kernelgen
 from repro.osim.devices import IntervalClock, TerminalMux
 from repro.osim.kernelgen import (KDATA_VA, PR_BLOCK, PR_NEXTPCB,
@@ -39,9 +51,9 @@ from repro.osim.kernelgen import (KDATA_VA, PR_BLOCK, PR_NEXTPCB,
                                   initial_kernel_data)
 from repro.osim.process import Process
 from repro.osim.scheduler import Scheduler
-from repro.vm.address import (P1_BASE, PAGE_BYTES, PAGE_SHIFT, S0_BASE)
-from repro.vm.pagetable import AddressSpace, RegionTable
-from repro.workloads.codegen import ProgramGenerator
+from repro.vm.address import P1_BASE, PAGE_SHIFT, S0_BASE
+from repro.vm.pagetable import AddressSpace, RegionTable, pte_run
+from repro.workloads.codegen import ProgramGenerator, ProgramLayout
 from repro.workloads.profiles import MixProfile
 
 _WORD = 0xFFFFFFFF
@@ -62,20 +74,49 @@ P1_TABLE_OFFSET = 0x3000
 USER_STACK_PAGES = 32
 
 
+class LayoutError(ValueError):
+    """A workload whose processes do not fit in the machine's memory."""
+
+
+def p0_pages(profile: MixProfile) -> int:
+    """Pages in the P0 table of one process of ``profile``: code, data
+    and strings, plus one."""
+    return (ProgramLayout.of(profile).end >> PAGE_SHIFT) + 1
+
+
+def check_memory(profile: MixProfile, memory_bytes: int) -> None:
+    """Raise :class:`LayoutError` unless the user frames of a
+    ``memory_bytes`` machine hold every process of ``profile``."""
+    per_process = p0_pages(profile) + USER_STACK_PAGES
+    needed = profile.processes * per_process
+    available = max(0, (s0_table_base(memory_bytes) >> PAGE_SHIFT)
+                    - (FRAMES_PA >> PAGE_SHIFT))
+    if needed > available:
+        raise LayoutError(
+            f"workload {profile.name!r} needs {needed} user page frames "
+            f"({profile.processes} processes of {per_process}), but "
+            f"memory_bytes={memory_bytes} leaves {available}")
+
+
 class Executive:
     """A booted VMS-like system running one workload profile."""
 
     def __init__(self, machine: VAX780, profile: MixProfile,
                  seed: int = 1984, programs=None) -> None:
         """``programs``: what :func:`generate_programs` returns for
-        ``(profile, seed)``; None generates them here."""
+        ``(profile, seed)``; None starts a fresh set."""
+        check_memory(profile, machine.params.memory_bytes)
         self.machine = machine
         self.profile = profile
         self.seed = seed
         self.processes = []
+        self.programs = (generate_programs(profile, seed)
+                         if programs is None else programs)
+        self._layout = ProgramLayout.of(profile)
         self._frame_cursor = FRAMES_PA >> PAGE_SHIFT
-        if programs is None:
-            programs = generate_programs(profile, seed)
+        #: PCB base -> (ASID, physical base of P0) of every process
+        #: whose program is not loaded yet.
+        self._unloaded = {}
 
         machine.map_s0_identity()
         self._load_kernel()
@@ -86,8 +127,8 @@ class Executive:
             io_block_cycles=profile.io_block_cycles,
             seed=seed + 17)
         self._install_hooks()
-        for asid, program in enumerate(programs, start=1):
-            self._build_process(asid, program)
+        for asid in range(1, profile.processes + 1):
+            self._build_process(asid)
         self._install_devices()
 
     # ------------------------------------------------------------------
@@ -122,62 +163,52 @@ class Executive:
                        psl_mode=KERNEL, usp=0, ksp=kstack_top)
         m.register_address_space(pcb, space)
 
-    def _alloc_frame(self) -> int:
-        frame = self._frame_cursor
-        self._frame_cursor += 1
-        limit = self.machine.s0_table_pa >> PAGE_SHIFT
-        if frame >= limit:
-            raise MemoryError("out of user page frames")
-        return frame
+    def _build_process(self, asid: int) -> None:
+        """Map process ``asid``'s P0 (code, data, strings) and P1 (stack)
+        onto the next free frames and initialise its PCB.
 
-    def _build_process(self, asid: int, program) -> None:
+        The frames are consecutive, P0's first, so each table is one
+        run of PTEs and P0 is physically contiguous.
+        """
         m = self.machine
-        p0_pages = (program.string_base
-                    + self.profile.string_kb * 1024) >> PAGE_SHIFT
-        p0_table = RegionTable(PTBL_PA + (asid - 1 + 1) * PTBL_SLOT,
-                               p0_pages + 1)
+        layout = self._layout
+        p0_table = RegionTable(PTBL_PA + asid * PTBL_SLOT,
+                               p0_pages(self.profile))
         p1_table = RegionTable(p0_table.base_pa + P1_TABLE_OFFSET,
                                USER_STACK_PAGES)
         space = AddressSpace(asid=asid, p0=p0_table, p1=p1_table)
-
-        # Map and fill P0 (code + data + strings) and P1 (stack).
-        previous = m.translator.current_space
-        m.translator.set_space(space)
-        for page in range(p0_table.length):
-            m.translator.map_page(page << PAGE_SHIFT, self._alloc_frame())
-        for page in range(p1_table.length):
-            m.translator.map_page(P1_BASE + (page << PAGE_SHIFT),
-                                  self._alloc_frame())
-        self._copy_in(space, program.code_base, program.code)
-        self._copy_in(space, program.data_base, program.data_init)
-        self._copy_in(space, program.string_base, program.string_init)
-        m.translator.set_space(previous)
+        p0_frame = self._frame_cursor
+        p1_frame = p0_frame + p0_table.length
+        self._frame_cursor = p1_frame + p1_table.length
+        m.mem.load_image(p0_table.base_pa,
+                         pte_run(p0_frame, p0_table.length))
+        m.mem.load_image(p1_table.base_pa,
+                         pte_run(p1_frame, p1_table.length))
 
         pcb = PCB_PA + 0x100 * asid
         kstack_top = S0_BASE + KSTACK_PA + 0x1000 * asid + 0xF00
         usp = P1_BASE + (USER_STACK_PAGES << PAGE_SHIFT) - 64
         self._init_pcb(
             pcb,
-            registers={10: program.string_base, 11: program.data_base,
+            registers={10: layout.string_base, 11: layout.data_base,
                        PCB_AP: usp, PCB_FP: usp},
-            pc=program.entry, psl_mode=USER, usp=usp, ksp=kstack_top)
+            pc=layout.entry, psl_mode=USER, usp=usp, ksp=kstack_top)
         m.register_address_space(pcb, space)
 
         process = Process(f"{self.profile.name}-p{asid}", asid, space,
-                          pcb, kstack_top, program)
+                          pcb, kstack_top)
         self.processes.append(process)
         self.scheduler.add_process(process)
+        self._unloaded[pcb] = (asid, p0_frame << PAGE_SHIFT)
 
-    def _copy_in(self, space, va: int, data: bytes) -> None:
-        """Copy bytes into a process's mapped pages (untimed)."""
-        m = self.machine
-        offset = 0
-        while offset < len(data):
-            pa = m.translator.translate(va + offset)
-            chunk = min(len(data) - offset,
-                        PAGE_BYTES - ((va + offset) & (PAGE_BYTES - 1)))
-            m.mem.load_image(pa, data[offset:offset + chunk])
-            offset += chunk
+    def _load(self, pcb: int) -> None:
+        """Copy a process's program into its P0 frames (untimed)."""
+        asid, p0_pa = self._unloaded.pop(pcb)
+        program = self.programs[asid]
+        load_image = self.machine.mem.load_image
+        load_image(p0_pa + program.code_base, program.code)
+        load_image(p0_pa + program.data_base, program.data_init)
+        load_image(p0_pa + program.string_base, program.string_init)
 
     def _init_pcb(self, pcb_pa: int, registers: dict, pc: int,
                   psl_mode: int, usp: int, ksp: int) -> None:
@@ -192,10 +223,18 @@ class Executive:
         for i, value in enumerate(image):
             m.mem.debug_write(pcb_pa + 4 * i, value & _WORD, 4)
 
+    def _next_pcb(self) -> int:
+        """PR_NEXTPCB: the scheduler's choice, its program loaded the
+        first time it is chosen."""
+        pcb = self.scheduler.next_pcb()
+        if pcb in self._unloaded:
+            self._load(pcb)
+        return pcb
+
     def _install_hooks(self) -> None:
         m = self.machine
         sched = self.scheduler
-        m.pr_mfpr_hooks[PR_NEXTPCB] = sched.next_pcb
+        m.pr_mfpr_hooks[PR_NEXTPCB] = self._next_pcb
         m.pr_mfpr_hooks[PR_QUANTUM] = sched.quantum_expired
         m.pr_mfpr_hooks[PR_TTYAST] = sched.tty_ast_due
         m.pr_mtpr_hooks[PR_BLOCK] = sched.block_current
@@ -233,15 +272,36 @@ class Executive:
         run_until(self.machine, measured_instructions, cycle_limit)
 
 
-def generate_programs(profile: MixProfile, seed: int) -> tuple:
-    """One generated program per process of ``profile``, in ASID order.
+class ProgramSet:
+    """The programs of one (profile, seed), by ASID, each generated the
+    first time it is asked for and kept.
 
-    Process ``asid`` (1-based) gets a generator seeded ``seed * 1000 +
-    asid``.
+    Process ``asid`` (1-based) gets its own generator, seeded ``seed *
+    1000 + asid``, so a program is the same whichever others were
+    generated before it.  ``workloads.programs`` counts generations.
     """
-    return tuple(ProgramGenerator(profile, seed=seed * 1000 + asid)
-                 .generate()
-                 for asid in range(1, profile.processes + 1))
+
+    __slots__ = ("profile", "seed", "_programs")
+
+    def __init__(self, profile: MixProfile, seed: int) -> None:
+        self.profile = profile
+        self.seed = seed
+        self._programs = {}
+
+    def __getitem__(self, asid: int):
+        program = self._programs.get(asid)
+        if program is None:
+            program = ProgramGenerator(
+                self.profile, seed=self.seed * 1000 + asid).generate()
+            metrics.counter("workloads.programs").inc()
+            self._programs[asid] = program
+        return program
+
+
+def generate_programs(profile: MixProfile, seed: int) -> ProgramSet:
+    """The program set of ``(profile, seed)``: nothing is generated
+    until a process's program is first asked for."""
+    return ProgramSet(profile, seed)
 
 
 #: The run loop's failure message for a halted machine.

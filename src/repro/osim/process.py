@@ -17,13 +17,12 @@ class Process:
     """
 
     def __init__(self, name: str, asid: int, space, pcb_base: int,
-                 kernel_stack_top: int, program=None) -> None:
+                 kernel_stack_top: int) -> None:
         self.name = name
         self.asid = asid
         self.space = space
         self.pcb_base = pcb_base
         self.kernel_stack_top = kernel_stack_top
-        self.program = program
         self.state = READY
         self.wake_cycle = 0
         self.is_null = False

@@ -18,10 +18,23 @@ paper measures (a cache-visible PTE read per TB miss) is preserved.
 
 from __future__ import annotations
 
+import struct
+
 from repro.vm.address import (P0, P1, S0, PAGE_SHIFT, region_of, vpn_of)
 
 PTE_VALID = 0x80000000
 PFN_MASK = (1 << 21) - 1
+
+
+def pte_run(pfn: int, count: int) -> bytes:
+    """``count`` valid PTEs mapping consecutive frames from ``pfn``.
+
+    The bytes :meth:`Translator.map_page` writes for ``count``
+    consecutive pages, one packed image for a single bulk write (every
+    frame number fits the PFN field, below 1 GiB of memory).
+    """
+    return struct.pack(f"<{count}I",
+                       *range(PTE_VALID | pfn, (PTE_VALID | pfn) + count))
 
 
 class PageFault(Exception):

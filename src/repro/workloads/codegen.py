@@ -22,7 +22,11 @@ The generator also produces the *initial contents* of the data regions
 text for string operations) so that every generated instruction executes
 on well-formed operands.
 
-A program is a pure function of (profile, seed).  The generator's fast
+A program is a pure function of (profile, seed), and where it lives is
+a function of the profile alone: :meth:`ProgramLayout.of` gives the
+region bases and ``main``'s entry, from which the executive maps and
+initialises a process before its program exists, so that only the
+processes a run dispatches need generating.  The generator's fast
 paths keep it so: :func:`weighted_draw` bisects weights summed once, as
 ``Random.choices`` does after summing them on every call,
 :func:`printable_text` draws the string region in batches that consume
@@ -115,12 +119,38 @@ def printable_text(rng: random.Random, count: int) -> bytearray:
     return out
 
 
+#: Where every generated program lives in its process's P0 space.
+CODE_BASE = 0x1000
+DATA_BASE = 0x20000
+STRING_BASE = 0x30000
+
+
+@dataclass(frozen=True)
+class ProgramLayout:
+    """Where the programs of one profile live: the same for every seed."""
+
+    code_base: int
+    data_base: int
+    string_base: int
+    subroutines: int      #: subroutine slots ahead of ``main``
+    entry: int            #: VA of ``main``, past the last subroutine slot
+    end: int              #: first VA past the string region
+
+    @classmethod
+    def of(cls, profile: MixProfile) -> "ProgramLayout":
+        """The layout of every program generated from ``profile``."""
+        subroutines = max(2, profile.code_kb * 1024 // SUBROUTINE_SLOT - 1)
+        return cls(CODE_BASE, DATA_BASE, STRING_BASE, subroutines,
+                   CODE_BASE + subroutines * SUBROUTINE_SLOT,
+                   STRING_BASE + profile.string_kb * 1024)
+
+
 @dataclass(frozen=True)
 class GeneratedProgram:
     """A complete generated user program plus its initial data images.
 
     Read-only: one program backs every machine a run boots for the same
-    (workload, seed, machine), and a process only stores it.
+    (workload, seed, machine), and an executive only copies it in.
     """
 
     code: bytes           #: machine code, loaded at ``code_base``
@@ -136,14 +166,11 @@ class GeneratedProgram:
 class ProgramGenerator:
     """Emits one process's program from a mix profile."""
 
-    def __init__(self, profile: MixProfile, seed: int,
-                 code_base: int = 0x1000, data_base: int = 0x20000,
-                 string_base: int = 0x30000) -> None:
+    def __init__(self, profile: MixProfile, seed: int) -> None:
         self.profile = profile
         self.rng = random.Random(seed)
-        self.code_base = code_base
-        self.data_base = data_base
-        self.string_base = string_base
+        self.layout = ProgramLayout.of(profile)
+        self.data_base = self.layout.data_base
         self.data_bytes = profile.data_kb * 1024
         self.string_bytes = profile.string_kb * 1024
         self._ptr_table = self.data_bytes - POINTER_TABLE_BYTES
@@ -159,21 +186,20 @@ class ProgramGenerator:
 
     def generate(self) -> GeneratedProgram:
         """Generate the program and its initial data images."""
-        n_subs = max(2, self.profile.code_kb * 1024 // SUBROUTINE_SLOT - 1)
+        layout = self.layout
         entries = []
         chunks = []
-        for index in range(n_subs):
-            slot_base = self.code_base + index * SUBROUTINE_SLOT
+        for index in range(layout.subroutines):
+            slot_base = layout.code_base + index * SUBROUTINE_SLOT
             chunk, entry = self._generate_subroutine(slot_base, entries)
             chunks.append(chunk)
             entries.append(entry)
-        main_base = self.code_base + n_subs * SUBROUTINE_SLOT
-        chunks.append(self._generate_main(main_base, entries))
+        chunks.append(self._generate_main(layout.entry, entries))
         code = b"".join(chunks)
         return GeneratedProgram(
-            code=code, entry=main_base, code_base=self.code_base,
-            data_base=self.data_base, data_init=self._build_data_init(),
-            string_base=self.string_base,
+            code=code, entry=layout.entry, code_base=layout.code_base,
+            data_base=layout.data_base, data_init=self._build_data_init(),
+            string_base=layout.string_base,
             string_init=self._build_string_init(),
             subroutine_entries=tuple(entries))
 

@@ -16,10 +16,10 @@ import pytest
 from repro.analysis.measurement import Measurement, MemoryStats, composite
 from repro.batch import LaneSpec, run_lanes
 from repro.cpu.machine import VAX780
-from repro.machines.registry import get_machine
 from repro.osim.executive import HALTED_ERROR, Executive
 from repro.workloads.profiles import STANDARD_PROFILES, \
     TIMESHARING_RESEARCH
+from tests.helpers import scalar_run
 
 PREFIX = 400
 BUDGET = 800
@@ -45,12 +45,7 @@ OVERRIDES = (("cache_bytes", 4096),)
 def scalar_measure(profile, instructions, seed, machine="vax780",
                    overrides=()) -> Measurement:
     """One fresh scalar-engine run — the reference side."""
-    spec = get_machine(machine)
-    sim = spec.build(spec.params.with_overrides(**dict(overrides)))
-    executive = Executive(sim, spec.adapt_profile(profile), seed=seed)
-    executive.boot()
-    executive.run(instructions)
-    return Measurement.capture(profile.name, sim)
+    return scalar_run(profile, instructions, seed, machine, overrides)[0]
 
 
 def assert_identical(batch: Measurement, scalar: Measurement) -> None:

@@ -2,23 +2,28 @@
 
 A cohort's generated programs depend on its workload, seed and machine
 (whose adapted profile may differ), never on MachineParams overrides.
-The runner therefore generates each (workload, seed, machine) set once,
-hands it to every later cohort of that key, and lets it go once the
-last one has booted — and every lane still equals an independent
-:meth:`~repro.osim.executive.Executive.run`.
+The runner therefore keeps one (workload, seed, machine) set, hands it
+to every later cohort of that key, and lets it go once the last one has
+booted.  A set generates a process's program when a cohort first
+dispatches that process, so each (workload, seed, machine, ASID) that
+some cohort dispatches is generated exactly once and no other — and
+every lane still equals an independent
+:meth:`~repro.osim.executive.Executive.run`, whose dispatches are the
+ground truth here.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
 from repro.batch import BatchRunner, LaneSpec
 from repro.batch.engine import _run_cohort
-from repro.machines.registry import get_machine
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.registry import get_workload, paper_workload_names
-from tests.batch.test_identity import assert_identical, scalar_measure
+from tests.batch.test_identity import assert_identical
+from tests.helpers import scalar_run
 
 SEED = 1984
 BUDGETS = (150, 300)
@@ -39,30 +44,46 @@ def sharing_lanes() -> list:
     return lanes
 
 
-def expected_generations(lanes) -> int:
-    """Σ processes over the distinct (workload, seed, machine) keys."""
-    keys = {(lane.workload, lane.seed, lane.machine) for lane in lanes}
-    return sum(get_machine(machine).adapt_profile(
-        get_workload(workload).profile).processes
-        for workload, _seed, machine in keys)
+def independent(lane) -> tuple:
+    """(Measurement, dispatched ASIDs) of ``lane``'s independent run."""
+    return scalar_run(get_workload(lane.workload).profile,
+                      lane.instructions, lane.seed, lane.machine,
+                      lane.overrides)
+
+
+def expected_generations(lanes, run=independent) -> set:
+    """Every (workload, seed, machine, ASID) that some lane's
+    independent run dispatches."""
+    return {(lane.workload, lane.seed, lane.machine, asid)
+            for lane in lanes for asid in run(lane)[1]}
 
 
 class _Watch:
-    """Counts ``ProgramGenerator.generate`` calls and keeps a weak
-    reference to every program, filed under the key of the cohort
-    whose boot generated it."""
+    """Counts ``ProgramGenerator.generate`` calls, by (workload, seed,
+    machine, ASID), and keeps a weak reference to every program, filed
+    under the key of the cohort that was running when it was
+    generated."""
 
     def __init__(self, monkeypatch) -> None:
         self.calls = 0
+        self.generated = Counter()  # (workload, seed, machine, asid)
         self.programs = {}          # key -> [weakref]
         self.key = None
+        real_init = ProgramGenerator.__init__
         real_generate = ProgramGenerator.generate
         real_boot = BatchRunner._boot
         watch = self
 
+        def init(self, profile, seed):
+            real_init(self, profile, seed)
+            self.watched_seed = seed
+
         def generate(self):
             program = real_generate(self)
             watch.calls += 1
+            # A process's generator is seeded seed * 1000 + asid.
+            asid = self.watched_seed - 1000 * watch.key[1]
+            watch.generated[watch.key + (asid,)] += 1
             watch.programs.setdefault(watch.key, []).append(
                 weakref.ref(program))
             return program
@@ -72,6 +93,7 @@ class _Watch:
             watch.key = (cohort.workload, cohort.seed, cohort.machine)
             return real_boot(self, cohort)
 
+        monkeypatch.setattr(ProgramGenerator, "__init__", init)
         monkeypatch.setattr(ProgramGenerator, "generate", generate)
         monkeypatch.setattr(BatchRunner, "_boot", boot)
 
@@ -90,7 +112,7 @@ def shared_run(request):
         results = runner.run()
     finally:
         monkeypatch.undo()
-    return lanes, runner, results, watch.calls
+    return lanes, runner, results, watch
 
 
 @pytest.fixture(scope="module")
@@ -101,42 +123,47 @@ def independent_run():
 
     def run(lane):
         if lane not in cache:
-            cache[lane] = scalar_measure(
-                get_workload(lane.workload).profile, lane.instructions,
-                lane.seed, lane.machine, lane.overrides)
+            cache[lane] = independent(lane)
         return cache[lane]
     return run
 
 
 class TestSharing:
-    def test_each_program_set_is_generated_once(self, shared_run):
-        lanes, runner, _results, calls = shared_run
+    def test_each_program_set_is_generated_once(self, shared_run,
+                                                 independent_run):
+        lanes, runner, _results, watch = shared_run
         keys = {(cohort.workload, cohort.seed, cohort.machine)
                 for cohort in runner.cohorts}
         assert len(keys) == 6
         assert len(runner.cohorts) > len(keys)
-        assert calls == expected_generations(lanes)
+        expected = expected_generations(lanes, independent_run)
+        assert watch.calls == len(expected)
+        assert watch.generated == Counter(expected)
 
     @pytest.mark.parametrize("index", range(len(sharing_lanes())))
     def test_lane_matches_an_independent_run(self, shared_run,
                                              independent_run, index):
-        lanes, _runner, results, _calls = shared_run
+        lanes, _runner, results, _watch = shared_run
         assert results[index].ok
         assert_identical(results[index].measurement,
-                         independent_run(lanes[index]))
+                         independent_run(lanes[index])[0])
 
     def test_pool_tasks_generate_their_own(self, monkeypatch):
-        """A pool task (one cohort) shares nothing with the next, and
-        its answer is the in-process one."""
+        """A pool task (one cohort) shares nothing with the next,
+        generates only what its own cohort dispatches, and its answer
+        is the in-process one."""
         profile = get_workload("rte-scientific").profile
         lanes = [LaneSpec(profile.name, 100, 7, (("cache_bytes", size),))
                  for size in (4096, 16384)]
         in_process = BatchRunner(lanes).run()
+        dispatched = [independent(lane)[1] for lane in lanes]
         watch = _Watch(monkeypatch)
-        for lane, expected in zip(lanes, in_process):
+        for lane, expected, asids in zip(lanes, in_process, dispatched):
+            before = watch.calls
             [result] = _run_cohort(([lane], {profile.name: profile}))
             assert_identical(result.measurement, expected.measurement)
-        assert watch.calls == 2 * profile.processes
+            assert watch.calls - before == len(asids)
+        assert watch.calls == sum(len(asids) for asids in dispatched)
 
 
 class TestProgramLifetime:
@@ -150,6 +177,7 @@ class TestProgramLifetime:
                  for name in ("timesharing-research", "rte-commercial")
                  for budget in (20, 40)]
         lanes += [LaneSpec("rte-scientific", 20, SEED)]
+        expected = expected_generations(lanes)
         watch = _Watch(monkeypatch)
         booted = []
         released = []
@@ -173,10 +201,8 @@ class TestProgramLifetime:
         # The last key is released only after the run; sharing did
         # happen: two keys, each generated once, before the third.
         assert released[-1] == 2
-        assert watch.calls == sum(
-            get_workload(name).profile.processes
-            for name in ("timesharing-research", "rte-commercial",
-                         "rte-scientific"))
+        assert watch.calls == len(expected)
+        assert watch.generated == Counter(expected)
         gc.collect()
         assert all(ref() is None for refs in watch.programs.values()
                    for ref in refs)

@@ -6,6 +6,9 @@ budget fusion — so the engine's own bookkeeping must come out the same
 on every path: each fresh measurement counted once, in the calling
 process, and ``workloads.cycles`` equal to the cycles the composite
 itself reports (a metric checked against ground truth, as cycles are).
+``workloads.programs`` counts the programs generated, wherever they
+were generated: one per process some run dispatched, which independent
+runs of the five workloads say.
 """
 
 from repro import api, obs
@@ -13,6 +16,8 @@ from repro.explore import Axis, SweepSpec, run_sweep
 from repro.explore import runner as runner_module
 from repro.obs.metrics import scoped_registry
 from repro.workloads import engine
+from repro.workloads.registry import get_workload, paper_workload_names
+from tests.helpers import scalar_run
 
 #: The smoke composite's budget (no other module's cache interplay).
 INSTRUCTIONS = 1_500
@@ -22,7 +27,7 @@ PATHS = ((1, "scalar"), (1, "batch"), (2, "scalar"), (2, "batch"),
          (2, "auto"))
 
 LEDGER = ("workloads.runs", "workloads.cycles", "workloads.instructions",
-          "workloads.memo_hits")
+          "workloads.memo_hits", "workloads.programs")
 
 
 def _counters(registry) -> dict:
@@ -49,10 +54,14 @@ class TestComposite:
             ledgers[(jobs, engine_name)] = _counters(registry)
             assert registry.counter("workloads.cycles").value \
                 == result.cycles, (jobs, engine_name)
+        dispatched = sum(
+            len(scalar_run(get_workload(name).profile, INSTRUCTIONS,
+                           1984)[1])
+            for name in paper_workload_names())
         assert ledgers[PATHS[0]] == {
             "workloads.runs": 5, "workloads.cycles": result.cycles,
             "workloads.instructions": 5 * INSTRUCTIONS,
-            "workloads.memo_hits": 0}
+            "workloads.memo_hits": 0, "workloads.programs": dispatched}
         for path, ledger in ledgers.items():
             assert ledger == ledgers[PATHS[0]], path
 

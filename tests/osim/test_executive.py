@@ -4,8 +4,11 @@ import pytest
 
 from repro.arch.registers import USER
 from repro.cpu.machine import VAX780
-from repro.osim.executive import Executive
+from repro.osim.executive import (USER_STACK_PAGES, Executive,
+                                  LayoutError, check_memory, p0_pages)
 from repro.osim.process import BLOCKED, READY
+from repro.params import VAX780 as STOCK
+from repro.vm.address import PAGE_BYTES, PAGE_SHIFT
 from repro.workloads.profiles import MixProfile, TIMESHARING_RESEARCH
 
 
@@ -160,3 +163,40 @@ class TestNullExclusion:
             machine.step()  # Null spins, unmeasured
         assert machine.board.snapshot().total_cycles() == measured_before
         assert machine.cycles > measured_before
+
+
+class TestMemoryFit:
+    """The frames a profile's processes need are known before boot."""
+
+    def test_too_small_a_memory_names_workload_and_frames(self):
+        machine = VAX780(STOCK.with_overrides(memory_bytes=1 << 20))
+        needed = TIMESHARING_RESEARCH.processes * (
+            p0_pages(TIMESHARING_RESEARCH) + USER_STACK_PAGES)
+        with pytest.raises(LayoutError) as exc:
+            Executive(machine, TIMESHARING_RESEARCH)
+        message = str(exc.value)
+        assert repr(TIMESHARING_RESEARCH.name) in message
+        assert f"needs {needed} user page frames" in message
+        assert message.endswith("leaves 0")
+
+    def test_the_smallest_memory_that_fits_is_filled_and_runs(self):
+        """At the smallest accepted memory the processes take every
+        user frame up to the S0 table, and the system runs; a page
+        less is refused."""
+        pages = 1
+        while True:
+            try:
+                check_memory(TIMESHARING_RESEARCH, pages * PAGE_BYTES)
+                break
+            except LayoutError:
+                pages += 1
+        machine = VAX780(STOCK.with_overrides(
+            memory_bytes=pages * PAGE_BYTES))
+        executive = Executive(machine, TIMESHARING_RESEARCH, seed=77)
+        assert executive._frame_cursor == machine.s0_table_pa >> PAGE_SHIFT
+        executive.boot()
+        executive.run(2000)
+        with pytest.raises(LayoutError):
+            Executive(VAX780(STOCK.with_overrides(
+                memory_bytes=(pages - 1) * PAGE_BYTES)),
+                TIMESHARING_RESEARCH)

@@ -87,6 +87,18 @@ class TestMalformedInput:
                 call()
         assert registry.counter("workloads.runs").value == 0
 
+    def test_memory_too_small_for_a_workload_rejected_before_running(self):
+        """1 MiB leaves no user page frames above the executive's fixed
+        layout: the sweep is refused whole, not five lanes in."""
+        with scoped_registry() as registry:
+            with pytest.raises(api.ApiError) as exc:
+                api.explore(spec="smoke", axes=["memory_bytes=1048576"],
+                            store=None)
+        message = str(exc.value)
+        assert "memory_bytes=1048576" in message
+        assert "user page frames" in message
+        assert registry.counter("workloads.runs").value == 0
+
 
 class TestRunWorkload:
     def test_accepts_name_suffix_and_profile(self):

@@ -7,13 +7,16 @@ import pytest
 
 from repro.arch.decode import decode_instruction
 from repro.arch.opcodes import OPCODES_BY_VALUE
+from repro.machines.registry import MACHINES
 from repro.workloads.codegen import (_BIT_BRANCH_CUM, _BIT_BRANCHES,
                                      _COND_BRANCH_CUM, _COND_BRANCHES,
                                      GeneratedProgram, ProgramGenerator,
-                                     printable_text, weighted_draw)
+                                     ProgramLayout, printable_text,
+                                     weighted_draw)
 from repro.workloads.profiles import (COMMERCIAL, SCIENTIFIC,
                                       STANDARD_PROFILES,
                                       TIMESHARING_RESEARCH)
+from repro.workloads.registry import WORKLOADS
 
 
 def generate(profile=TIMESHARING_RESEARCH, seed=4242):
@@ -35,6 +38,29 @@ class TestDeterminism:
         a = generate(TIMESHARING_RESEARCH, seed=5)
         b = generate(SCIENTIFIC, seed=5)
         assert a.code != b.code
+
+
+class TestLayout:
+    @pytest.mark.parametrize("name,machine", [
+        (name, machine) for name, spec in WORKLOADS.items()
+        if spec.trace is None
+        for machine in MACHINES if spec.supported_on(machine)])
+    def test_each_image_stays_inside_its_region(self, name, machine):
+        """The executive lays a process out from the profile alone and
+        copies each image to its base: code below the data region,
+        data below the strings, and the strings ending at the
+        layout's end."""
+        profile = MACHINES[machine].adapt_profile(WORKLOADS[name].profile)
+        layout = ProgramLayout.of(profile)
+        program = ProgramGenerator(profile, seed=5).generate()
+        assert (program.code_base, program.data_base, program.string_base,
+                program.entry) == (layout.code_base, layout.data_base,
+                                   layout.string_base, layout.entry)
+        assert program.code_base + len(program.code) <= program.data_base
+        assert program.data_base + len(program.data_init) \
+            <= program.string_base
+        assert program.string_base + len(program.string_init) \
+            == layout.end
 
 
 class TestWellFormedness:
