@@ -7,8 +7,13 @@ machine through the machine registry, runs it to each of its capture
 boundaries in ascending order with :func:`repro.osim.executive.run_until`
 — the loop :meth:`~repro.osim.executive.Executive.run` itself uses — and
 captures a :class:`~repro.analysis.measurement.Measurement` at each.
-The machine is dropped before the next cohort boots, so only one is
-alive at a time.  A one-lane cohort *is* the scalar run, so the
+When the cohort ends, failed targets included, the runner releases its
+machine (:meth:`~repro.cpu.machine.VAX780.release`): that breaks the
+reference cycles a booted machine carries, so reference counting frees
+the machine, its EBox and its memory as the cohort's state is dropped,
+before the next cohort boots, and only one is alive at a time.  Left
+to the cycle collector, a sweep would hold several dead machines at
+once.  A one-lane cohort *is* the scalar run, so the
 workload engine (:mod:`repro.workloads.engine`), design-space sweeps
 (:mod:`repro.explore.runner`) and serve's fusion all simulate here.
 
@@ -175,8 +180,8 @@ class BatchRunner:
         else:
             for cohort in self.cohorts:
                 self._start(cohort)
-                # The state (and its machine) is garbage once _advance
-                # returns, before the next cohort boots.
+                # The state (and its released machine) is freed once
+                # _advance returns, before the next cohort boots.
                 self._advance(self._boot(cohort))
         obs.emit("batch_finished", lanes=len(self.lanes),
                  cohorts=len(self.cohorts))
@@ -221,7 +226,8 @@ class BatchRunner:
         return hooks
 
     def _advance(self, state: _CohortState) -> None:
-        """Run one cohort to each of its targets, capturing at each.
+        """Run one cohort to each of its targets, capturing at each,
+        then release its machine.
 
         A target whose run fails settles with the loop's message and
         the machine carries on toward the next: a scalar run with the
@@ -229,15 +235,18 @@ class BatchRunner:
         cycle limit cannot have fired any earlier.  A halted machine
         stays halted, so every later target fails the same way.
         """
-        with self._hooks(state):
-            for target in state.cohort.targets:
-                state.target = target
-                try:
-                    run_until(state.machine, target)
-                except RuntimeError as exc:
-                    self._fail_target(state, str(exc))
-                else:
-                    self._capture(state)
+        try:
+            with self._hooks(state):
+                for target in state.cohort.targets:
+                    state.target = target
+                    try:
+                        run_until(state.machine, target)
+                    except RuntimeError as exc:
+                        self._fail_target(state, str(exc))
+                    else:
+                        self._capture(state)
+        finally:
+            state.machine.release()
 
     def _capture(self, state: _CohortState) -> None:
         measurement = Measurement.capture(state.cohort.workload,

@@ -66,6 +66,12 @@ def s0_table_base(memory_bytes: int) -> int:
     return memory_bytes - 4 * (memory_bytes >> PAGE_SHIFT)
 
 
+def _refuse_step(machine) -> None:
+    """Boundary hook of a released machine (see :meth:`VAX780.release`)."""
+    raise SimulatorError(f"machine {machine.name!r} was released and "
+                         "cannot step")
+
+
 class PendingInterrupt:
     """One posted hardware interrupt.
 
@@ -532,6 +538,30 @@ class VAX780:
             self.step()
             executed += 1
         return executed
+
+    def release(self) -> None:
+        """Let reference counting free this machine once it is dropped.
+
+        Three reference cycles run through a booted machine.  The
+        EBox's MTPR, MFPR and LDPCTX hooks are the machine's own bound
+        methods.  The processor-register hooks an executive installs
+        are bound methods of the executive and its scheduler, which
+        both hold the machine.  And until the tracer replays them, its
+        pending executions hold Instructions whose specifier plans hold
+        bound EBox methods, while the EBox holds the tracer.  Releasing
+        clears both sets of hooks and flushes (not discards) the
+        pending executions, so every counter stays exact and the
+        machine, its EBox and its memory mapping go as soon as the last
+        outside reference does, not at the next full collection.
+
+        A released machine cannot step again: its boundary hook raises.
+        """
+        ebox = self.ebox
+        ebox.mtpr_hook = ebox.mfpr_hook = ebox.ldpctx_hook = None
+        self.pr_mtpr_hooks.clear()
+        self.pr_mfpr_hooks.clear()
+        self.tracer.flush()
+        self.boundary_hook = _refuse_step
 
     # ------------------------------------------------------------------
     # structure (Figure 1)

@@ -23,9 +23,9 @@ class Tracer:
     Per-instruction counts are *deferred*: :meth:`note_instruction` only
     bumps a pending-execution count keyed by the (cached, re-executed)
     Instruction object, and the dozen-odd Counter updates each execution
-    implies are replayed in bulk the first time any derived counter is
-    read.  ``instructions`` itself stays a live attribute because the
-    executive's run loop polls it every step.
+    implies are replayed in bulk (:meth:`flush`) the first time any
+    derived counter is read.  ``instructions`` itself stays a live
+    attribute because the executive's run loop polls it every step.
     """
 
     def __init__(self) -> None:
@@ -109,7 +109,7 @@ class Tracer:
         n = pending.get(inst)
         pending[inst] = 1 if n is None else n + 1
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
         """Replay pending executions into the per-instruction counters."""
         if not self._pending:
             return
@@ -142,55 +142,55 @@ class Tracer:
     @property
     def opcode_counts(self):
         """mnemonic -> executions."""
-        self._flush()
+        self.flush()
         return self._opcode_counts
 
     @property
     def family_counts(self):
         """family -> executions."""
-        self._flush()
+        self.flush()
         return self._family_counts
 
     @property
     def group_counts(self):
         """OpcodeGroup -> executions."""
-        self._flush()
+        self.flush()
         return self._group_counts
 
     @property
     def specifier_modes(self):
         """(position, mode) -> count."""
-        self._flush()
+        self.flush()
         return self._specifier_modes
 
     @property
     def specifiers(self):
         """Total operand specifiers processed."""
-        self._flush()
+        self.flush()
         return self._specifiers
 
     @property
     def indexed_specifiers(self):
         """Specifiers carrying an index prefix."""
-        self._flush()
+        self.flush()
         return self._indexed_specifiers
 
     @property
     def branch_displacements(self):
         """Branch-displacement operands processed."""
-        self._flush()
+        self.flush()
         return self._branch_displacements
 
     @property
     def branch_disp_bytes(self):
         """Total branch-displacement bytes."""
-        self._flush()
+        self.flush()
         return self._branch_disp_bytes
 
     @property
     def instruction_bytes(self):
         """Total encoded instruction bytes executed."""
-        self._flush()
+        self.flush()
         return self._instruction_bytes
 
     @staticmethod

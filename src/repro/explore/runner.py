@@ -25,10 +25,9 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.explore.space import SpaceError, SweepSpec
+from repro.explore.space import SweepSpec
 from repro.explore.store import ResultStore, code_version, result_key
 from repro.obs import metrics
-from repro.workloads.registry import WorkloadError, get_workload
 
 #: Simulations performed by this process since import (tests use this
 #: to assert that a warm store performs zero new simulations).
@@ -166,15 +165,6 @@ def run_sweep(spec: SweepSpec, store: ResultStore = None, jobs: int = None,
     code = code_version()
     tasks = []          # (point_index, workload, key)
     points = spec.points()
-    # Eager support check across every (machine, workload) pair the
-    # sweep will touch — a machine axis can put a workload on a backend
-    # that refuses it, and that should fail before anything simulates.
-    for machine_name in {point.machine for point in points}:
-        for workload in spec.workloads:
-            try:
-                get_workload(workload).check_machine(machine_name)
-            except WorkloadError as exc:
-                raise SpaceError(str(exc)) from exc
     for index, point in enumerate(points):
         params = point.params()
         for workload in spec.workloads:

@@ -11,9 +11,9 @@ stock machine) or as a full Cartesian grid.
 
 Every enumerated point is validated eagerly — axis names must be real
 parameter fields, each point's :class:`MachineParams` must pass the
-geometry checks and its memory must hold every swept workload's
-processes — so a sweep fails before the first simulation, not hours
-into it.
+geometry checks, its machine must run every swept workload and its
+memory must hold their processes — so a sweep fails before the first
+simulation, not hours into it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from repro.machines.registry import (DEFAULT_MACHINE, MachineError,
                                      get_machine, machine_names,
                                      validate_machine)
 from repro.params import MachineParams, VAX780
-from repro.workloads.registry import (WORKLOADS, find_workload,
+from repro.workloads.registry import (WORKLOADS, WorkloadError,
+                                      find_workload,
                                       paper_workload_names)
 
 
@@ -136,10 +137,15 @@ def _point(overrides: dict, instructions: int, seed: int,
     return point
 
 
-def _check_memory(point: Point, workload: str) -> None:
-    """Refuse a point whose memory cannot hold ``workload``'s processes."""
+def _check_point(point: Point, workload: str) -> None:
+    """Refuse a point whose machine cannot run ``workload``, or whose
+    memory cannot hold its processes."""
     from repro.osim.executive import LayoutError, check_memory
 
+    try:
+        WORKLOADS[workload].check_machine(point.machine)
+    except WorkloadError as exc:
+        raise SpaceError(str(exc)) from exc
     profile = get_machine(point.machine).adapt_profile(
         WORKLOADS[workload].profile)
     try:
@@ -201,10 +207,11 @@ class SweepSpec:
                     "sweep its source generator workload instead")
         if not self.workloads:
             raise SpaceError("spec selects no workloads")
-        # Enumerate eagerly so a bad point fails at construction.
+        # Enumerate eagerly so a bad point fails at construction: a
+        # machine axis can put a workload on a backend that refuses it.
         for point in self.points():
             for workload in self.workloads:
-                _check_memory(point, workload)
+                _check_point(point, workload)
 
     def points(self) -> list:
         """All concrete points, deduplicated, baseline first."""

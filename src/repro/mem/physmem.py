@@ -3,9 +3,19 @@
 Because the 780's cache is write-through, memory always holds the current
 value of every location; the cache model (:mod:`repro.mem.cache`) only
 tracks *timing* state (tags), and all data reads and writes land here.
+
+The bytes live in an anonymous mapping rather than a heap buffer: the
+OS zero-fills each page on first touch, so a machine costs the host
+only the pages its run reaches (an unrun boot touches well under 1 MB
+of the stock 8 MB).  The mapping must be private (``ACCESS_COPY``, i.e.
+``MAP_PRIVATE``; an anonymous mapping is otherwise shared): pool
+workers are forked, and a worker that inherits a machine must never
+write into its parent's memory, nor see the parent's later writes.
 """
 
 from __future__ import annotations
+
+import mmap
 
 
 class MemoryError780(Exception):
@@ -13,11 +23,11 @@ class MemoryError780(Exception):
 
 
 class PhysicalMemory:
-    """A flat physical memory of ``size`` bytes."""
+    """A flat, zero-initialised physical memory of ``size`` bytes."""
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
 
     def load_image(self, base: int, data: bytes) -> None:
         """Copy an assembled image (or any bytes) into memory at ``base``."""
@@ -49,4 +59,4 @@ class PhysicalMemory:
 
     def read_block(self, addr: int, size: int) -> bytes:
         """Read a raw byte range (used by tests and the loader)."""
-        return bytes(self._data[addr:addr + size])
+        return self._data[addr:addr + size]

@@ -122,6 +122,14 @@ class TestValidation:
         with pytest.raises(api.ApiError, match="no kernels match"):
             UbenchRequest.from_payload({"group": "nonesuch"})
 
+    def test_explore_onto_a_refusing_backend_rejected_at_parse_time(self):
+        """A sweep the worker could only fail is refused at submit."""
+        with pytest.raises(api.ApiError, match="does not implement"):
+            parse_request({"command": "explore", "params": {
+                "spec": "smoke",
+                "axes": ["machine=uvax78032",
+                         "workload=transaction-decimal"]}})
+
     def test_validate_rejects_auto_engine(self):
         with pytest.raises(api.ApiError, match="unknown engine"):
             ValidateRequest.from_payload({"engine": "auto"})

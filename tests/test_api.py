@@ -99,6 +99,23 @@ class TestMalformedInput:
         assert "user page frames" in message
         assert registry.counter("workloads.runs").value == 0
 
+    def test_machine_axis_onto_a_refusing_backend_rejected_before_running(
+            self):
+        """The MicroVAX implements no packed decimal: the sweep is
+        refused as a whole, before any point simulates."""
+        with scoped_registry() as registry:
+            with pytest.raises(api.ApiError) as exc:
+                api.explore(spec="smoke",
+                            axes=["machine=uvax78032",
+                                  "workload=transaction-decimal"],
+                            store=None)
+        message = str(exc.value)
+        assert "'transaction-decimal'" in message
+        assert "'uvax78032'" in message
+        for family in ("ADDP", "MOVP", "CMPP", "CVTLP", "CVTPL"):
+            assert family in message
+        assert registry.counter("workloads.runs").value == 0
+
 
 class TestRunWorkload:
     def test_accepts_name_suffix_and_profile(self):

@@ -147,6 +147,17 @@ class TestCLI:
         # ...and nothing was simulated or printed before validation.
         assert capsys.readouterr().out == ""
 
+    def test_explore_machine_axis_onto_a_refusing_backend_exits_2(
+            self, capsys):
+        assert main(["explore", "--spec", "smoke",
+                     "--axis", "machine=uvax78032",
+                     "--axis", "workload=transaction-decimal",
+                     "--no-store"]) == 2
+        captured = capsys.readouterr()
+        assert "does not implement" in captured.err
+        assert "ADDP" in captured.err
+        assert captured.out == ""
+
     def test_explore_bad_axis_value_rejected(self, capsys):
         assert main(["explore", "--axis", "cache_bytes=tiny"]) == 2
         assert "not an integer" in capsys.readouterr().err
