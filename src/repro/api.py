@@ -113,7 +113,7 @@ def _machine(value):
     machine names — the same pre-validation contract as ``--table``,
     engines and the sweep axes.
     """
-    from repro.machines import MachineError, validate_machine
+    from repro.machines.registry import MachineError, validate_machine
 
     try:
         return validate_machine(value)
@@ -134,6 +134,26 @@ def _budget(instructions, smoke: bool,
         raise ApiError("field 'instructions' must be a positive budget, "
                        f"got {instructions}")
     return instructions
+
+
+def _store(store):
+    """Resolve a ``store`` argument (a path, a ResultStore or None).
+
+    A root that cannot hold records (under a regular file, unwritable)
+    raises :class:`ApiError` naming the path, before anything simulates.
+    """
+    from repro.explore.store import ResultStore
+
+    if store is None:
+        return None
+    if not isinstance(store, ResultStore):
+        store = ResultStore(store)
+    try:
+        store.check()
+    except OSError as exc:
+        raise ApiError(f"unusable store {str(store.root)!r}: "
+                       f"{exc.strerror or exc}") from exc
+    return store
 
 
 def _workload(value, machine_name: str = None):
@@ -668,7 +688,7 @@ def workloads() -> WorkloadsResult:
     registered machine — whether that machine runs it (see
     :mod:`repro.workloads.registry`).
     """
-    from repro.machines import MACHINES
+    from repro.machines.registry import MACHINES
 
     listing = tuple(
         {"name": spec.name, "kind": spec.kind,
@@ -774,7 +794,7 @@ class MachinesResult(_Result):
 @_command("machines")
 def machines() -> MachinesResult:
     """List the registered machine backends (see repro.machines)."""
-    from repro.machines import DEFAULT_MACHINE, MACHINES
+    from repro.machines.registry import DEFAULT_MACHINE, MACHINES
 
     return MachinesResult(machines=tuple(
         {"name": spec.name, "description": spec.description,
@@ -1039,16 +1059,15 @@ def explore(spec: str = "paper-sensitivity", axes=(), mode: str = None,
     machine — ``batch`` fuses them, ``scalar`` does not, ``auto`` fuses
     when any would — and the records are bit-identical either way.
     ``machine`` re-baselines the sweep on a registered backend.  An
-    unknown engine or machine name raises :class:`ApiError` before
-    anything simulates.
+    unknown engine or machine name, or a store that cannot hold
+    records, raises :class:`ApiError` before anything simulates.
     """
-    from repro.explore import ResultStore, run_sweep, sensitivity
+    from repro.explore import run_sweep, sensitivity
 
     engine_name = _engine(engine)
     resolved = explore_spec(spec, axes, mode, instructions, seed, smoke,
                             machine=machine)
-    if store is not None and not isinstance(store, ResultStore):
-        store = ResultStore(store)
+    store = _store(store)
     with _span("explore", spec=resolved.name, jobs=jobs,
                engine=engine_name, machine=resolved.machine):
         sweep = run_sweep(resolved, store=store, jobs=jobs,
@@ -1224,9 +1243,9 @@ def refute(campaign: str = None, smoke: bool = False, seed: int = None,
     if plant is not None and plant not in PERTURBATIONS:
         raise ApiError(f"unknown perturbation {plant!r}; choose from "
                        f"{', '.join(PERTURBATIONS)}")
+    store = _store(store) if plant is None else None
     with _span("refute", campaign=spec.name, jobs=jobs, plant=plant):
-        result = run_campaign(spec, seed=seed, jobs=jobs,
-                              store=None if plant is not None else store,
+        result = run_campaign(spec, seed=seed, jobs=jobs, store=store,
                               plant=plant, progress=progress)
         checks = None
         if self_check and plant is None:

@@ -3,32 +3,7 @@
 This package is purely architectural — no timing, no implementation state.
 The 11/780 implementation details (pipeline, cache, TB, microcode) live in
 :mod:`repro.cpu`, :mod:`repro.mem`, :mod:`repro.vm` and :mod:`repro.ucode`.
+
+Import names from the modules themselves: the package re-exports
+nothing, so importing it loads no module a run does not use.
 """
-
-from repro.arch.datatypes import DataType, mask, sign_extend
-from repro.arch.decode import DecodeError, decode_instruction
-from repro.arch.disasm import (disassemble, disassemble_image,
-                               disassemble_machine, format_instruction)
-from repro.arch.encode import EncodeError, Operand, encode_instruction
-from repro.arch.groups import GROUP_ORDER, OpcodeGroup
-from repro.arch.instruction import Instruction
-from repro.arch.opcodes import (ALL_OPCODES, OPCODES_BY_NAME,
-                                OPCODES_BY_VALUE, OpcodeInfo, opcode,
-                                opcodes_in_group)
-from repro.arch.registers import (AP, FP, PC, PSL, SP, ConditionCodes,
-                                  register_number)
-from repro.arch.specifiers import AddressingMode, Specifier
-
-__all__ = [
-    "DataType", "mask", "sign_extend",
-    "DecodeError", "decode_instruction",
-    "disassemble", "disassemble_image", "disassemble_machine",
-    "format_instruction",
-    "EncodeError", "Operand", "encode_instruction",
-    "GROUP_ORDER", "OpcodeGroup",
-    "Instruction",
-    "ALL_OPCODES", "OPCODES_BY_NAME", "OPCODES_BY_VALUE", "OpcodeInfo",
-    "opcode", "opcodes_in_group",
-    "AP", "FP", "PC", "PSL", "SP", "ConditionCodes", "register_number",
-    "AddressingMode", "Specifier",
-]

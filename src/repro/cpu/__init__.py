@@ -1,13 +1,5 @@
-"""The 11/780 CPU: EBOX, I-Fetch/IB, tracer, faults and the machine."""
+"""The 11/780 CPU: EBOX, I-Fetch/IB, tracer, faults and the machine.
 
-from repro.cpu.ebox import EBox, OperandRef
-from repro.cpu.faults import (IllegalOperand, MachineHalt, PageFaultTrap,
-                              SimulatorError)
-from repro.cpu.ibuffer import InstructionBuffer
-from repro.cpu.itrace import InstructionTracer, TraceRecord
-from repro.cpu.machine import VAX780
-from repro.cpu.tracer import Tracer
-
-__all__ = ["EBox", "OperandRef", "IllegalOperand", "MachineHalt",
-           "PageFaultTrap", "SimulatorError", "InstructionBuffer",
-           "VAX780", "Tracer", "InstructionTracer", "TraceRecord"]
+Import names from the modules themselves: the package re-exports
+nothing, so importing it loads no module a run does not use.
+"""

@@ -137,9 +137,9 @@ class EBox:
         in one step instead of being walked a cycle at a time.  The
         engine is idle for a whole window when no fill is in flight and
         none can start (port busy, IB full, or filling blocked on an
-        I-stream TB miss / page fault), or while an in-flight fill's
-        data has not arrived yet.  On such cycles the per-cycle engine
-        does nothing, so skipping them cannot change any count.
+        I-stream TB miss), or while an in-flight fill's data has not
+        arrived yet.  On such cycles the per-cycle engine does nothing,
+        so skipping them cannot change any count.
 
         The fill engine itself (:meth:`InstructionBuffer.tick`) is
         inlined here: it runs several times per instruction, and the
@@ -154,8 +154,7 @@ class EBox:
         # the window).
         if pending is None:
             if (not port_free or ib.count >= ib.capacity
-                    or ib.tb_miss_va is not None
-                    or ib.fault_va is not None):
+                    or ib.tb_miss_va is not None):
                 self.now = now + cycles
                 return
         elif pending[0] - now - 1 >= cycles:
@@ -164,8 +163,7 @@ class EBox:
         while cycles > 0:
             if pending is None:
                 if (not port_free or ib.count >= ib.capacity
-                        or ib.tb_miss_va is not None
-                        or ib.fault_va is not None):
+                        or ib.tb_miss_va is not None):
                     now += cycles
                     break
                 # The engine issues a reference this cycle.
@@ -254,8 +252,7 @@ class EBox:
         pending = ib.pending
         now = self.now
         if pending is None:
-            if (ib.count >= ib.capacity or ib.tb_miss_va is not None
-                    or ib.fault_va is not None):
+            if ib.count >= ib.capacity or ib.tb_miss_va is not None:
                 self.now = now + n
                 return
             if n == 1:

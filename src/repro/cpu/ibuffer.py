@@ -41,8 +41,6 @@ class InstructionBuffer:
         #: VA whose I-stream translation missed the TB; filling is blocked
         #: until the EBOX services it.
         self.tb_miss_va = None
-        #: VA whose I-stream page is not resident.
-        self.fault_va = None
         # statistics (the paper's §4.1 events)
         self.references = 0
         self.bytes_delivered = 0
@@ -60,7 +58,6 @@ class InstructionBuffer:
         self.pending = None
         self.prefetch_va = target_va & 0xFFFFFFFF
         self.tb_miss_va = None
-        self.fault_va = None
         self.flushes += 1
 
     def clear_tb_miss(self) -> None:
@@ -87,7 +84,7 @@ class InstructionBuffer:
             return
         if not port_free or self.count >= self.capacity:
             return
-        if self.tb_miss_va is not None or self.fault_va is not None:
+        if self.tb_miss_va is not None:
             return
         va = self.prefetch_va
         pfn = self._tb.lookup(va, stream="i")

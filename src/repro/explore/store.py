@@ -132,6 +132,18 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / f"{key}.json"
 
+    def check(self) -> None:
+        """Create the root if needed; raise ``OSError`` if it cannot hold
+        records (a path under a regular file, an unwritable directory).
+
+        Callers run this before anything simulates, so an unusable store
+        is refused up front instead of failing at the first :meth:`put`.
+        """
+        objects = self.root / "objects"
+        objects.mkdir(parents=True, exist_ok=True)
+        if not os.access(objects, os.W_OK | os.X_OK):
+            raise PermissionError(f"cannot write to {objects}")
+
     def get(self, key: str):
         """The stored record for ``key``, or None.
 

@@ -5,23 +5,7 @@ timing backends — the paper's VAX-11/780 and the MicroVAX 78032 subset
 machine — and the analytical tier (:mod:`repro.machines.analytical`)
 generalizes the microbenchmark busy-cycle model to whole workloads for
 instant CPI estimates, validated against the full simulator.
+
+Import names from the modules themselves: the package re-exports
+nothing, so importing it loads no module a run does not use.
 """
-
-from repro.machines.analytical import (CALIBRATION_ANCHORS, ERROR_BOUND,
-                                       EXTRAPOLATION_BOUND,
-                                       EXTRAPOLATION_WINDOW,
-                                       TRANSIENT_BOUND,
-                                       AnalyticalError, CpiEstimate,
-                                       WorkloadMix, calibrate,
-                                       check_estimate, kernel_mix)
-from repro.machines.registry import (DEFAULT_MACHINE, MACHINES,
-                                     MachineError, MachineSpec,
-                                     get_machine, machine_names,
-                                     validate_machine)
-
-__all__ = ["AnalyticalError", "CALIBRATION_ANCHORS", "CpiEstimate",
-           "DEFAULT_MACHINE", "ERROR_BOUND", "EXTRAPOLATION_BOUND",
-           "EXTRAPOLATION_WINDOW", "TRANSIENT_BOUND",
-           "MACHINES", "MachineError", "MachineSpec", "WorkloadMix",
-           "calibrate", "check_estimate", "get_machine",
-           "kernel_mix", "machine_names", "validate_machine"]

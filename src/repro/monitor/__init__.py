@@ -1,10 +1,5 @@
-"""The µPC histogram monitor: board, Unibus interface, sessions."""
+"""The µPC histogram monitor: board, Unibus interface, sessions.
 
-from repro.monitor.histogram import Histogram, HistogramBoard
-from repro.monitor.session import (CounterSaturation, MeasurementSession)
-from repro.monitor.unibus import (CSR_CLEAR, CSR_RUN, CSR_SELECT_STALL,
-                                  UnibusHistogramInterface)
-
-__all__ = ["Histogram", "HistogramBoard", "CSR_CLEAR", "CSR_RUN",
-           "CSR_SELECT_STALL", "UnibusHistogramInterface",
-           "CounterSaturation", "MeasurementSession"]
+Import names from the modules themselves: the package re-exports
+nothing, so importing it loads no module a run does not use.
+"""

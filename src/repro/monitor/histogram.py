@@ -14,6 +14,11 @@ of executions of *that* microinstruction is the IB-stall cycle count — the
 board just sees them as ordinary executions (§4.3).
 
 The board is passive: counting has no effect on simulated time.
+
+Snapshots sum elementwise in pure Python over ``array('q')`` count sets.
+The composite is at most a handful of such sums per run (a memoised
+measurement does none), so a vector library would cost every process
+more to import than it could ever save here.
 """
 
 from __future__ import annotations
@@ -23,11 +28,6 @@ from array import array
 
 from repro.ucode.controlstore import CONTROL_STORE_SIZE
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 
 class Histogram:
     """An immutable-ish snapshot of the two count sets.
@@ -35,9 +35,9 @@ class Histogram:
     Snapshots support addition, which is how the paper's *composite*
     workload is formed: "the sum of the five µPC histograms" (§2.2).
     The count sets are ``array('q')`` (signed 64-bit, like the board's
-    count locations) so that summation and totals run at C speed; the
-    live :class:`HistogramBoard` keeps plain lists, which are faster for
-    the single-bucket increments the µPC lines drive.
+    count locations): compact, and ``sum`` over them runs at C speed.
+    The live :class:`HistogramBoard` keeps plain lists, which are faster
+    for the single-bucket increments the µPC lines drive.
     """
 
     __slots__ = ("nonstalled", "stalled")
@@ -49,19 +49,6 @@ class Histogram:
     def __add__(self, other: "Histogram") -> "Histogram":
         if len(self.nonstalled) != len(other.nonstalled):
             raise ValueError("cannot sum histograms of different sizes")
-        if _np is not None:
-            out = Histogram.__new__(Histogram)
-            ns = _np.frombuffer(self.nonstalled, dtype=_np.int64) \
-                + _np.frombuffer(other.nonstalled, dtype=_np.int64)
-            st = _np.frombuffer(self.stalled, dtype=_np.int64) \
-                + _np.frombuffer(other.stalled, dtype=_np.int64)
-            nsa = array("q")
-            nsa.frombytes(ns.tobytes())
-            sta = array("q")
-            sta.frombytes(st.tobytes())
-            out.nonstalled = nsa
-            out.stalled = sta
-            return out
         return Histogram(
             map(operator.add, self.nonstalled, other.nonstalled),
             map(operator.add, self.stalled, other.stalled))
@@ -73,11 +60,6 @@ class Histogram:
 
     def total_cycles(self) -> int:
         """All counted cycles: executions plus stall cycles."""
-        if _np is not None:
-            return int(_np.frombuffer(self.nonstalled, dtype=_np.int64)
-                       .sum()
-                       + _np.frombuffer(self.stalled, dtype=_np.int64)
-                       .sum())
         return sum(self.nonstalled) + sum(self.stalled)
 
     def executions(self, address: int) -> int:

@@ -301,8 +301,9 @@ def mix_from_records(workload: str, machine: str, anchors: tuple,
 
     ``records`` maps instruction budget -> store record; the records
     carry the full Table-8 ``cells`` reduction, which is exactly what
-    :func:`repro.machines.calibrate` derives from a fresh simulation —
-    so a calibration rides the store instead of re-simulating.
+    :func:`repro.machines.analytical.calibrate` derives from a fresh
+    simulation — so a calibration rides the store instead of
+    re-simulating.
     """
     anchors = tuple(sorted(anchors))
     keys = sorted({(row, col)

@@ -35,7 +35,7 @@ def workloads_report(instructions: int = SMOKE_INSTRUCTIONS,
                      seed: int = 1984, progress=None) -> dict:
     """The workload inventory document (see module docstring)."""
     from repro.analysis.reduction import Reduction
-    from repro.machines import MACHINES
+    from repro.machines.registry import MACHINES
     from repro.workloads import engine as _engines
     from repro.workloads.registry import DEFAULT_WORKLOAD, WORKLOADS
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import warnings
 from dataclasses import dataclass, field
 
 from repro import api, obs
@@ -103,7 +104,12 @@ class JobServer:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, start the dispatcher, return once accepting."""
+        """Bind, start the dispatcher, return once accepting.
+
+        An unusable store raises :class:`~repro.api.ApiError` before
+        anything binds: the server refuses to start.
+        """
+        self.store = api._store(self.store)
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
         self._gate = asyncio.Event()
         self._gate.set()
@@ -284,14 +290,7 @@ class JobServer:
             job.status = DONE
             job.result = envelope["result"]
             if self.store is not None:
-                self.store.put(job.key, {
-                    "schema": f"serve-{_canonical.SERVE_SCHEMA}",
-                    "code": self._code,
-                    "command": job.request.command,
-                    "params": job.canonical,
-                    "result": job.result,
-                    "seconds": job.seconds,
-                })
+                self._persist(job)
         else:
             job.status = FAILED
             job.error = envelope.get("error", "unknown failure")
@@ -303,6 +302,23 @@ class JobServer:
                  command=job.request.command, status=job.status,
                  coalesced=job.coalesced,
                  seconds=job.seconds)
+
+    def _persist(self, job) -> None:
+        """Cache a finished job's document.  A failed write (disk full)
+        loses only the cache entry: the job stays done and the
+        dispatcher keeps serving."""
+        try:
+            self.store.put(job.key, {
+                "schema": f"serve-{_canonical.SERVE_SCHEMA}",
+                "code": self._code,
+                "command": job.request.command,
+                "params": job.canonical,
+                "result": job.result,
+                "seconds": job.seconds,
+            })
+        except OSError as exc:
+            metrics.counter("serve.store.write_errors").inc()
+            warnings.warn(f"could not store job {job.id}: {exc}")
 
     # -- submission ----------------------------------------------------
 

@@ -165,7 +165,7 @@ def check_composite(measurement, tolerance=TOLERANCE, machine=None):
     """
     extras = {}
     if machine is not None:
-        from repro.machines import get_machine
+        from repro.machines.registry import get_machine
 
         extras = dict(get_machine(machine).params.exec_extra_cycles)
     store, umap = reference_map()

@@ -116,7 +116,7 @@ def run_kernel(kernel, warmup=WARMUP_COPIES, copies=MEASURED_COPIES,
     :mod:`repro.machines`); the model predicts with that backend's
     params, so the busy buckets must still match exactly.
     """
-    from repro.machines import get_machine
+    from repro.machines.registry import get_machine
 
     spec = get_machine(machine)
     if copies <= 0:

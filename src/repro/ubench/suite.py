@@ -309,7 +309,7 @@ def kernel_families(kernel) -> tuple:
 
 def supported_on(kernel, machine) -> bool:
     """Whether every family the kernel uses exists on ``machine``."""
-    from repro.machines import get_machine
+    from repro.machines.registry import get_machine
 
     unsupported = set(get_machine(machine).params.unsupported_families)
     if not unsupported:

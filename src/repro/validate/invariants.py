@@ -251,7 +251,7 @@ def check_measurement(measurement, machine: str = None) \
 
     # -- machine capabilities ---------------------------------------------
     if machine is not None:
-        from repro.machines import get_machine
+        from repro.machines.registry import get_machine
 
         params = get_machine(machine).params
         if not params.ib_prefetch:

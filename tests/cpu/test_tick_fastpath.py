@@ -14,7 +14,7 @@ statistics — must be bit-identical.
 import pytest
 
 from repro.analysis import Measurement
-from repro.machines import get_machine, machine_names
+from repro.machines.registry import get_machine, machine_names
 from repro.osim.executive import Executive
 from repro.validate.differential import ReferenceEBox
 from repro.workloads.profiles import MixProfile, STANDARD_PROFILES

@@ -86,6 +86,26 @@ class TestResultStore:
         assert leftovers == []
 
 
+class TestCheck:
+    def test_creates_a_missing_root(self, tmp_path):
+        store = ResultStore(tmp_path / "a" / "b")
+        store.check()
+        assert (tmp_path / "a" / "b" / "objects").is_dir()
+        assert len(store) == 0
+
+    def test_root_under_a_regular_file_is_refused(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(NotADirectoryError):
+            ResultStore(tmp_path / "file" / "store").check()
+
+    def test_unwritable_root_is_refused(self, tmp_path, monkeypatch):
+        # Simulated: a superuser may write anywhere, so chmod cannot.
+        monkeypatch.setattr("repro.explore.store.os.access",
+                            lambda path, mode: False)
+        with pytest.raises(PermissionError, match="cannot write"):
+            ResultStore(tmp_path / "store").check()
+
+
 class TestQuarantine:
     def test_corrupt_entry_is_renamed_aside(self, tmp_path):
         store = ResultStore(tmp_path / "store")

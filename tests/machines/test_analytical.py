@@ -5,10 +5,12 @@ import pathlib
 
 import pytest
 
-from repro.machines import (ERROR_BOUND, EXTRAPOLATION_BOUND,
-                            TRANSIENT_BOUND, AnalyticalError, calibrate,
-                            check_estimate, kernel_mix, machine_names)
-from repro.machines.analytical import CALIBRATION_ANCHORS
+from repro.machines.analytical import (CALIBRATION_ANCHORS, ERROR_BOUND,
+                                       EXTRAPOLATION_BOUND,
+                                       TRANSIENT_BOUND, AnalyticalError,
+                                       calibrate, check_estimate,
+                                       kernel_mix)
+from repro.machines.registry import machine_names
 from repro.obs.metrics import scoped_registry
 from repro.ubench import model, suite
 from repro.workloads import engine
@@ -205,7 +207,7 @@ class TestKernelExactness:
 
     @pytest.mark.parametrize("machine", machine_names())
     def test_matches_predict_kernel_at_any_copy_count(self, machine):
-        from repro.machines import get_machine
+        from repro.machines.registry import get_machine
 
         spec = get_machine(machine)
         kernels = suite.select(smoke=True, machine=machine)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu.faults import UnsupportedInstructionError
 from repro.cpu.machine import VAX780
-from repro.machines import get_machine
+from repro.machines.registry import get_machine
 from repro.ubench import runner, suite
 from repro.ubench.kernels import emit
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import api
-from repro.machines import (DEFAULT_MACHINE, MACHINES, MachineError,
-                            get_machine, machine_names, validate_machine)
+from repro.machines.registry import (DEFAULT_MACHINE, MACHINES,
+                                     MachineError, get_machine,
+                                     machine_names, validate_machine)
 from repro.params import VAX780 as VAX780_PARAMS
 
 

@@ -1,10 +1,12 @@
 """Tests for the µPC histogram board and its Unibus interface."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.monitor.histogram import Histogram, HistogramBoard
 from repro.monitor.unibus import (CSR_CLEAR, CSR_RUN, CSR_SELECT_STALL,
                                   UnibusHistogramInterface)
+from repro.ucode.controlstore import CONTROL_STORE_SIZE
 
 
 class TestBoard:
@@ -57,11 +59,9 @@ class TestHistogramArithmetic:
     def test_size_mismatch_rejected(self):
         a = Histogram([1], [0])
         b = Histogram([1, 2], [0, 0])
-        try:
-            a + b
-        except ValueError:
-            return
-        raise AssertionError("expected ValueError")
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different sizes"):
+                left + right
 
     @given(st.lists(st.integers(0, 1000), min_size=4, max_size=4),
            st.lists(st.integers(0, 1000), min_size=4, max_size=4))
@@ -70,6 +70,36 @@ class TestHistogramArithmetic:
         b = Histogram(stall, ns)
         assert (a + b).total_cycles() == \
             a.total_cycles() + b.total_cycles()
+
+    @given(st.data())
+    def test_sums_are_exact_beyond_32_bits(self, data):
+        """Elementwise and exact, with counts past 2**32 (a long run's
+        busiest buckets), into signed 64-bit count sets."""
+        size = data.draw(st.integers(1, 64))
+        counts = st.lists(st.integers(0, 2 ** 61), min_size=size,
+                          max_size=size)
+        a_ns, a_st, b_ns, b_st = (data.draw(counts) for _ in range(4))
+        total = Histogram(a_ns, a_st) + Histogram(b_ns, b_st)
+        assert list(total.nonstalled) == [x + y for x, y
+                                          in zip(a_ns, b_ns)]
+        assert list(total.stalled) == [x + y for x, y in zip(a_st, b_st)]
+        assert total.nonstalled.typecode == total.stalled.typecode == "q"
+        assert total.total_cycles() == \
+            sum(a_ns) + sum(a_st) + sum(b_ns) + sum(b_st)
+
+    def test_full_board_composite(self):
+        """Five full-size snapshots sum as the paper's composite does."""
+        size = CONTROL_STORE_SIZE
+        parts = [Histogram([2 ** 33 + i * n for i in range(size)],
+                           [n] * size) for n in range(1, 6)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        assert total.size == size
+        assert total.executions(7) == 5 * 2 ** 33 + 7 * 15
+        assert total.stall_cycles(7) == 15
+        assert total.total_cycles() == sum(
+            sum(part.nonstalled) + sum(part.stalled) for part in parts)
 
 
 class TestUnibusInterface:

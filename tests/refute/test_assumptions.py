@@ -87,7 +87,7 @@ class TestStoreBackedCalibration:
     def test_mix_from_records_matches_a_direct_calibration(self):
         from repro.explore.runner import run_sweep
         from repro.explore.space import Axis, SweepSpec
-        from repro.machines import calibrate
+        from repro.machines.analytical import calibrate
 
         anchors = (200, 400, 600)
         spec = SweepSpec(name="refute-test", mode="ofat",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.machines import machine_names
+from repro.machines.registry import machine_names
 from repro.serve.canonical import COMMANDS, parse_request, request_key
 
 #: The minimum valid payload per command (machine deliberately absent).

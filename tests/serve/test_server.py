@@ -7,6 +7,9 @@ pin the serve-layer counters (``workers.EXECUTIONS``,
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -17,6 +20,8 @@ from repro.serve import ServeConfig
 from repro.serve import workers
 from repro.serve.client import ServeError
 from repro.serve.testing import ServerThread
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 #: A tiny but real characterize job: one table, sub-second budget.
 POINT = dict(instructions=500, table="4")
@@ -225,6 +230,49 @@ class TestHttpSurface:
             assert "serve.jobs.executed" in doc["metrics"]
             health = client.health()
             assert health["ok"] is True and not health["draining"]
+
+
+class TestStoreFailures:
+    def test_unusable_store_refuses_to_start(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        root = tmp_path / "file" / "store"
+        with pytest.raises(api.ApiError, match="unusable store"):
+            ServerThread(ServeConfig(store=str(root), workers=1)).start()
+
+    def test_cli_serve_exits_2_on_an_unusable_store(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        root = tmp_path / "file" / "store"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(root)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            f"unusable store {str(root)!r}: Not a directory"]
+        assert "listening" not in done.stdout
+
+    def test_failed_store_write_keeps_the_dispatcher_serving(
+            self, tmp_path):
+        """Disk full at the cache write: the answer still reaches the
+        client, and the next job is still served."""
+        config = ServeConfig(store=str(tmp_path / "store"), workers=1)
+        before = metrics.counter("serve.store.write_errors").value
+        with ServerThread(config) as handle:
+            def disk_full(key, record):
+                raise OSError(28, "No space left on device")
+
+            handle.server.store.put = disk_full
+            client = handle.client()
+            with pytest.warns(UserWarning, match="No space left"):
+                first = client.submit("characterize", payload(4670),
+                                      timeout=60)
+                second = client.submit("characterize", payload(4671),
+                                       timeout=60)
+            assert first["status"] == second["status"] == "done"
+            assert client.metrics()["inflight"] == 0
+        assert metrics.counter("serve.store.write_errors").value \
+            - before == 2
 
 
 class TestFailureEnvelopes:

@@ -116,6 +116,19 @@ class TestMalformedInput:
             assert family in message
         assert registry.counter("workloads.runs").value == 0
 
+    @pytest.mark.parametrize("call", [api.explore, api.refute],
+                             ids=["explore", "refute"])
+    def test_unusable_store_rejected_before_running(self, call, tmp_path):
+        """A store root under a regular file cannot hold records: it is
+        refused up front, not at the first write after a simulation."""
+        (tmp_path / "file").write_text("")
+        root = tmp_path / "file" / "store"
+        with scoped_registry() as registry:
+            with pytest.raises(api.ApiError) as exc:
+                call(smoke=True, store=str(root))
+        assert str(root) in str(exc.value)
+        assert registry.counter("workloads.runs").value == 0
+
 
 class TestRunWorkload:
     def test_accepts_name_suffix_and_profile(self):

@@ -27,7 +27,7 @@ class TestWorkloadsListing:
         assert result.default == PAPER[0]
 
     def test_entries_carry_kind_and_support(self):
-        from repro.machines import MACHINES
+        from repro.machines.registry import MACHINES
 
         result = api.workloads()
         for entry in result.workloads:

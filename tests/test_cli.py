@@ -158,6 +158,21 @@ class TestCLI:
         assert "ADDP" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["explore", "refute"])
+    def test_unusable_store_exits_2_before_simulating(self, command,
+                                                      tmp_path, capsys):
+        from repro.obs.metrics import scoped_registry
+
+        (tmp_path / "file").write_text("")
+        root = tmp_path / "file" / "store"
+        with scoped_registry() as registry:
+            assert main([command, "--smoke", "--store", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"unusable store {str(root)!r}: Not a directory"]
+        assert captured.out == ""
+        assert registry.counter("workloads.runs").value == 0
+
     def test_explore_bad_axis_value_rejected(self, capsys):
         assert main(["explore", "--axis", "cache_bytes=tiny"]) == 2
         assert "not an integer" in capsys.readouterr().err

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import Measurement
 from repro.cpu.ebox import EBox
-from repro.machines import get_machine
+from repro.machines.registry import get_machine
 from repro.osim.executive import Executive
 from repro.validate import check_measurement
 from repro.validate.differential import (FuzzCase, WINDOW, fuzz,

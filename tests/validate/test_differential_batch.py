@@ -9,7 +9,7 @@ to the first capture boundary that exhibits it.
 
 import pytest
 
-from repro.machines import machine_names
+from repro.machines.registry import machine_names
 from repro.refute.perturb import perturbation
 from repro.validate.differential import (FuzzCase, batch_targets,
                                          fuzz_batch, run_case_batch,

@@ -90,7 +90,7 @@ class TestResolution:
 
 class TestMachineSupport:
     def test_paper_five_run_everywhere(self):
-        from repro.machines import MACHINES
+        from repro.machines.registry import MACHINES
 
         for spec in paper_workloads():
             for machine in MACHINES:

@@ -12,7 +12,7 @@ plausible.
 
 import pytest
 
-from repro.machines import MACHINES
+from repro.machines.registry import MACHINES
 from repro.validate import check_measurement
 from repro.workloads import engine
 from repro.workloads.registry import (WORKLOADS, WorkloadError,

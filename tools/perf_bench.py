@@ -383,7 +383,7 @@ def measure_analytical(repeats: int, target: int = 6_000) -> dict:
     ``repro.machines`` (the ``--label before`` baseline).
     """
     try:
-        from repro.machines import calibrate, check_estimate
+        from repro.machines.analytical import calibrate, check_estimate
     except ImportError:
         return {}
     from repro.workloads import engine
