@@ -40,6 +40,15 @@ its shard lands, instead of per capture.  A paranoid run stays in this
 process, so a violation raises once rather than through the pool's
 retries.
 
+The runner keeps no result: ``on_result`` is the only way a
+:class:`LaneResult` leaves it, and once the callback returns the runner
+holds no reference to it.  A caller that reduces each measurement as it
+lands (a sweep keeps a store record) therefore holds one capture at a
+time in process, and one landed shard at a time with a pool, whose
+results the runner hands on lane by lane, dropping each as it goes.
+:func:`run_lanes` is the collector for callers that want every result
+back, in lane order.
+
 Bit-identity contract: each lane's measurement equals, bit for bit,
 what an independent :meth:`Executive.run` produces for the same
 (workload, params, instructions, seed, machine) — including the two
@@ -54,7 +63,7 @@ contract on randomly perturbed profiles.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -92,11 +101,12 @@ class _CohortState:
 
 
 class BatchRunner:
-    """Run lanes cohort by cohort; results in input-lane order.
+    """Run lanes cohort by cohort, handing each result to ``on_result``.
 
     ``on_start(cohort)`` fires before a cohort boots (with a pool, as
     its shard is handed out) and ``on_result(lane_index, LaneResult)``
-    as each lane settles, both in the calling process.
+    as each lane settles, both in the calling process.  The runner
+    keeps neither; :func:`run_lanes` collects the results.
     """
 
     def __init__(self, lanes, profiles=None, on_result=None, jobs=1,
@@ -127,9 +137,13 @@ class BatchRunner:
         self.on_start = on_start
         self.jobs = jobs
         self.paranoid = paranoid
-        self.observation = obs.active()
+        # A forked pool worker inherits the caller's observation but
+        # cannot report to it, so there cohorts run without a sampler.
+        observation = obs.active()
+        if observation is not None and observation.pid != os.getpid():
+            observation = None
+        self.observation = observation
         self.cohorts = plan_cohorts(self.lanes, fuse=fuse)
-        self._results = [None] * len(self.lanes)
         # Program sets by (workload, seed, machine), and how many
         # cohorts have yet to boot on each.
         self._programs = {}
@@ -138,7 +152,16 @@ class BatchRunner:
 
     def _boot(self, cohort: Cohort) -> _CohortState:
         """A freshly booted machine for ``cohort``, built through the
-        machine registry."""
+        machine registry.
+
+        The cohort is counted here, where it runs: a pool task counts
+        its own into the metrics delta it hands back.
+        """
+        fused = len(cohort.lanes) - 1
+        metrics.counter("batch.lanes").inc(len(cohort.lanes))
+        metrics.counter("batch.cohorts").inc()
+        if fused:
+            metrics.counter("batch.fused_lanes").inc(fused)
         spec = get_machine(cohort.machine)
         profile = spec.adapt_profile(self.profiles[cohort.workload])
         programs = self._programs_for(cohort, profile)
@@ -166,15 +189,11 @@ class BatchRunner:
             self._programs[key] = programs
         return programs
 
-    def run(self) -> list:
-        """Execute every lane; returns LaneResults in input order."""
-        fused = len(self.lanes) - len(self.cohorts)
+    def run(self) -> None:
+        """Execute every lane, handing each result to ``on_result``."""
         obs.emit("batch_started", lanes=len(self.lanes),
-                 cohorts=len(self.cohorts), fused=fused)
-        metrics.counter("batch.lanes").inc(len(self.lanes))
-        metrics.counter("batch.cohorts").inc(len(self.cohorts))
-        if fused:
-            metrics.counter("batch.fused_lanes").inc(fused)
+                 cohorts=len(self.cohorts),
+                 fused=len(self.lanes) - len(self.cohorts))
         if self.jobs > 1 and len(self.cohorts) > 1 and not self.paranoid:
             self._fan_out()
         else:
@@ -185,10 +204,13 @@ class BatchRunner:
                 self._advance(self._boot(cohort))
         obs.emit("batch_finished", lanes=len(self.lanes),
                  cohorts=len(self.cohorts))
-        return list(self._results)
 
     def _fan_out(self) -> None:
-        """Run the cohorts in worker processes, ``2 × jobs`` per shard."""
+        """Run the cohorts in worker processes, ``2 × jobs`` per shard.
+
+        A landed shard is settled lane by lane, each result popped off
+        as it is handed on, so nothing of it outlives its callback.
+        """
         from repro.workloads.parallel import run_tasks
 
         size = 2 * self.jobs
@@ -200,10 +222,11 @@ class BatchRunner:
                 tasks.append(([spec for _, spec in cohort.lanes],
                               {cohort.workload:
                                self.profiles[cohort.workload]}))
-            for cohort, results in zip(
-                    shard, run_tasks(_run_cohort, tasks, jobs=self.jobs)):
-                for (index, _), result in zip(cohort.lanes, results):
-                    self._settle(index, result)
+            landed = run_tasks(_run_cohort, tasks, jobs=self.jobs)
+            for cohort in shard:
+                results = landed.pop(0)
+                for index, _ in cohort.lanes:
+                    self._settle(index, results.pop(0))
 
     def _start(self, cohort: Cohort) -> None:
         if self.on_start is not None:
@@ -265,7 +288,6 @@ class BatchRunner:
                                            error))
 
     def _settle(self, index: int, result: LaneResult) -> None:
-        self._results[index] = result
         obs.emit("batch_lane_finished", lane=index,
                  label=self.lanes[index].label(), ok=result.ok)
         if self.on_result is not None:
@@ -279,28 +301,32 @@ def _program_key(cohort: Cohort) -> tuple:
 def _run_cohort(task) -> list:
     """Pool worker entry point (top-level, so it pickles): one cohort.
 
-    Returns its LaneResults in the cohort's lane order.  A forked
-    worker inherits the caller's observation but cannot report to it,
-    so there the cohort runs without a progress sampler.
+    Returns its LaneResults in the cohort's lane order.
     """
     lanes, profiles = task
-    runner = BatchRunner(lanes, profiles)
-    if multiprocessing.parent_process() is not None:
-        runner.observation = None
-    for cohort in runner.cohorts:
-        runner._advance(runner._boot(cohort))
-    return runner._results
+    return run_lanes(lanes, strict=False, profiles=profiles)
 
 
-def run_lanes(lanes, strict: bool = True, **options) -> list:
-    """Run lanes through one BatchRunner; optionally raise lane errors.
+def run_lanes(lanes, strict: bool = True, on_result=None,
+              **options) -> list:
+    """Run lanes through one BatchRunner; their LaneResults in lane order.
 
-    ``options`` are :class:`BatchRunner`'s.  With ``strict`` (the
-    default) the first failed lane raises the scalar engine's
-    :class:`RuntimeError` verbatim, matching what a serial loop over
+    The runner's collector: each result is kept in its lane's slot and
+    then handed to ``on_result``, if given.  ``options`` are
+    :class:`BatchRunner`'s.  With ``strict`` (the default) the first
+    failed lane raises the scalar engine's :class:`RuntimeError`
+    verbatim once every lane has run, matching what a serial loop over
     :meth:`Executive.run` would have done.
     """
-    results = BatchRunner(lanes, **options).run()
+    lanes = list(lanes)
+    results = [None] * len(lanes)
+
+    def collect(index, result):
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+
+    BatchRunner(lanes, on_result=collect, **options).run()
     if strict:
         for result in results:
             if result.error is not None:

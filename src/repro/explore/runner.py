@@ -11,6 +11,13 @@ With ``jobs > 1`` the runner fans cohorts out over worker processes
 retry and in-process fallback when the pool dies) in shards of
 ``2 × jobs``, and records land shard by shard.
 
+Like the paper's µPC monitor, read out once per experiment, a sweep
+keeps only the counts: each lane's measurement is reduced to its
+1.4 KB store record (:func:`_record`) as it lands and then dropped, and
+the cohort runner keeps nothing of it.  So a sweep holds one capture
+at a time (one landed shard with a pool), and its memory does not
+grow with its lanes.
+
 ``engine`` only decides whether budget-only lanes share a machine:
 ``batch`` fuses them, so an ``instructions``-axis sweep costs one run
 of the longest point; ``scalar`` gives every lane its own machine;

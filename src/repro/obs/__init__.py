@@ -36,6 +36,7 @@ paths cost one attribute test when nobody is watching.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -64,6 +65,9 @@ class Observation:
     def __init__(self, directory=None, heartbeat: float = None,
                  label: str = "run", clock=time.monotonic) -> None:
         self.label = label
+        #: The process the observation was made in: a forked child
+        #: inherits the object but cannot report to it.
+        self.pid = os.getpid()
         self.dir = Path(directory) if directory is not None else None
         if self.dir is not None:
             self.dir.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.batch import (BatchRunner, ENGINES, EngineError, LaneSpec,
-                         plan_cohorts, validate_engine)
+                         plan_cohorts, run_lanes, validate_engine)
 
 
 class TestLaneSpec:
@@ -119,6 +119,6 @@ class TestCohortLifetime:
                  for name in ("timesharing-research", "rte-commercial",
                               "rte-scientific")
                  for budget in (20, 40)]
-        results = BatchRunner(lanes).run()
+        results = run_lanes(lanes)
         assert len(booted) == 3
         assert all(result.ok for result in results)

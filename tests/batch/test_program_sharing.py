@@ -18,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from repro.batch import BatchRunner, LaneSpec
+from repro.batch import BatchRunner, LaneSpec, run_lanes
 from repro.batch.engine import _run_cohort
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.registry import get_workload, paper_workload_names
@@ -108,8 +108,10 @@ def shared_run(request):
     try:
         watch = _Watch(monkeypatch)
         lanes = sharing_lanes()
-        runner = BatchRunner(lanes, fuse=request.param)
-        results = runner.run()
+        results = [None] * len(lanes)
+        runner = BatchRunner(lanes, fuse=request.param,
+                             on_result=results.__setitem__)
+        runner.run()
     finally:
         monkeypatch.undo()
     return lanes, runner, results, watch
@@ -155,7 +157,7 @@ class TestSharing:
         profile = get_workload("rte-scientific").profile
         lanes = [LaneSpec(profile.name, 100, 7, (("cache_bytes", size),))
                  for size in (4096, 16384)]
-        in_process = BatchRunner(lanes).run()
+        in_process = run_lanes(lanes)
         dispatched = [independent(lane)[1] for lane in lanes]
         watch = _Watch(monkeypatch)
         for lane, expected, asids in zip(lanes, in_process, dispatched):
@@ -196,7 +198,7 @@ class TestProgramLifetime:
             booted.append(cohort)
 
         watch.before_boot = before_boot
-        results = BatchRunner(lanes, fuse=fuse).run()
+        results = run_lanes(lanes, fuse=fuse)
         assert all(result.ok for result in results)
         # The last key is released only after the run; sharing did
         # happen: two keys, each generated once, before the third.

@@ -7,8 +7,11 @@ bit-identical measurements.
 """
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 from repro import obs
+from repro.batch import BatchRunner, LaneSpec
 from repro.cli import main
 from repro.obs.metrics import scoped_registry
 from repro.workloads import engine
@@ -21,6 +24,18 @@ def _composite_fingerprint(measurement):
     return (measurement.cycles,
             tuple(measurement.histogram.nonstalled),
             tuple(measurement.histogram.stalled))
+
+
+_LANES = [LaneSpec(engine.paper_workload_names()[0], 100, 1984)]
+
+
+def _sampling_in_a_worker() -> tuple:
+    """Whether a runner made in this forked worker would sample: under
+    the observation it inherited, then under one it opens itself."""
+    inherited = BatchRunner(_LANES).observation
+    with obs.observe(label="worker") as own:
+        mine = BatchRunner(_LANES).observation
+    return inherited is None, mine is own
 
 
 class TestPassivity:
@@ -88,6 +103,21 @@ class TestArtifacts:
     def test_emit_is_noop_without_active_observation(self):
         assert obs.active() is None
         obs.emit("ignored", detail=1)  # must not raise
+
+
+class TestPoolWorkers:
+    def test_only_an_inherited_observation_goes_unsampled(self):
+        """A forked worker cannot report to the observation it inherits,
+        so its cohorts run without a progress sampler; an observation
+        the worker opens itself gets one.  The pool forks, as the cohort
+        runner's does on Linux: only a forked worker inherits."""
+        fork = multiprocessing.get_context("fork")
+        with scoped_registry(), obs.observe(label="caller") as caller:
+            assert BatchRunner(_LANES).observation is caller
+            with ProcessPoolExecutor(1, mp_context=fork) as pool:
+                inherited_off, own_on = pool.submit(
+                    _sampling_in_a_worker).result(timeout=60)
+        assert inherited_off and own_on
 
 
 class TestCliObservability:
