@@ -24,8 +24,14 @@ and the job server (:mod:`repro.serve`) binds request payloads to it.
 
 Contract:
 
-* invalid arguments raise :class:`ApiError` (a ``ValueError``) *before*
-  any simulation runs; the CLI maps it to exit code 2;
+* invalid arguments raise :class:`ApiError` (a ``ValueError``, defined
+  in :mod:`repro.errors`) or a domain error that subclasses it
+  (``MachineError``, ``WorkloadError``, ...) *before* any simulation
+  runs, and nothing converts one into another: the CLI exits 2 on the
+  class and the job server answers 400 on it;
+* a served command's canonicalizing step runs every check its facade
+  function runs before simulating, so the job server refuses at submit
+  what would otherwise fail in a worker;
 * results are frozen — a result is a record of what happened, not a
   handle to mutate;
 * heavyweight attachments (measurements, sweep objects, invariant
@@ -45,6 +51,9 @@ from dataclasses import dataclass, field, fields
 from repro import obs
 from repro.analysis import (section4, table1, table2, table3, table4,
                             table5, table6, table7, table8, table9)
+from repro.batch import validate_engine
+from repro.errors import ApiError
+from repro.machines.registry import validate_machine
 from repro.obs import metrics
 from repro.report.format import (render_figure1, render_section4,
                                  render_table1, render_table2,
@@ -82,58 +91,30 @@ TABLES = {
 }
 
 
-class ApiError(ValueError):
-    """A bad argument to a facade call (the CLI maps it to exit 2)."""
-
-
 # -- canonicalizing steps -------------------------------------------------
 
 
-def _engine(value, choices=None):
-    """Resolve an ``engine`` argument before anything simulates.
-
-    ``None`` means scalar; anything outside ``choices`` (default: all
-    of ``repro.batch.ENGINES``) raises :class:`ApiError` listing the
-    valid engines — the same pre-validation contract as ``--table``
-    and the sweep axes.
-    """
-    from repro.batch import ENGINES, validate_engine
-
-    try:
-        return validate_engine(value, choices or ENGINES)
-    except ValueError as exc:
-        raise ApiError(str(exc)) from exc
-
-
-def _machine(value):
-    """Resolve a ``machine`` argument before anything simulates.
-
-    ``None`` means the default backend (the paper's 11/780); anything
-    not in the registry raises :class:`ApiError` listing the registered
-    machine names — the same pre-validation contract as ``--table``,
-    engines and the sweep axes.
-    """
-    from repro.machines.registry import MachineError, validate_machine
-
-    try:
-        return validate_machine(value)
-    except MachineError as exc:
-        raise ApiError(str(exc)) from exc
-
-
-def _budget(instructions, smoke: bool,
-            default: int = DEFAULT_INSTRUCTIONS) -> int:
+def _budget(instructions, smoke: bool = False,
+            default: int = DEFAULT_INSTRUCTIONS, name="instructions"):
     """An explicit budget wins; else ``smoke``'s fixed one or ``default``.
 
     A run measures at least one instruction, so an explicit budget
-    below 1 raises :class:`ApiError`.
+    below 1 raises :class:`ApiError` naming field ``name``.
     """
     if instructions is None:
         return SMOKE_INSTRUCTIONS if smoke else default
     if instructions < 1:
-        raise ApiError("field 'instructions' must be a positive budget, "
+        raise ApiError(f"field {name!r} must be a positive budget, "
                        f"got {instructions}")
     return instructions
+
+
+def _count(name: str, value: int, least: int = 1) -> int:
+    """``value``; below ``least`` raises :class:`ApiError` naming it."""
+    if value < least:
+        raise ApiError(f"field {name!r} must be at least {least}, "
+                       f"got {value}")
+    return value
 
 
 def _store(store):
@@ -159,27 +140,11 @@ def _store(store):
 def _workload(value, machine_name: str = None):
     """Resolve one workload argument to its registered spec.
 
-    Accepts a registered name, a unique name suffix, a ``trace:PATH``
-    reference, or a :class:`~repro.workloads.registry.WorkloadSpec`.
-    Unknown workloads and machine-refused workloads raise
-    :class:`ApiError` before anything simulates, listing the registry.
+    Accepts what :func:`~repro.workloads.registry.find_workload` does;
+    a workload the machine refuses raises its ``WorkloadError``.
     """
-    try:
-        spec = _registry.find_workload(value)
-    except _registry.WorkloadError as exc:
-        raise ApiError(str(exc)) from exc
-    except Exception as exc:
-        # A trace:PATH reference that failed to load.
-        raise ApiError(str(exc)) from exc
-    if spec is None:
-        raise ApiError(
-            f"unknown workload {value!r}; choose from "
-            f"{', '.join(_registry.workload_names())} "
-            "(see 'repro workloads')")
-    try:
-        spec.check_machine(machine_name)
-    except _registry.WorkloadError as exc:
-        raise ApiError(str(exc)) from exc
+    spec = _registry.find_workload(value)
+    spec.check_machine(machine_name)
     return spec
 
 
@@ -414,11 +379,11 @@ class CharacterizeResult(_Result):
 
 
 def _characterize_args(args: dict) -> dict:
-    engine = _engine(args["engine"])
-    machine = _machine(args["machine"])
+    engine = validate_engine(args["engine"])
+    machine = validate_machine(args["machine"])
     names = _workload_names(args["workloads"], machine)
     return {"instructions": _budget(args["instructions"], args["smoke"]),
-            "seed": args["seed"], "jobs": args["jobs"],
+            "seed": args["seed"], "jobs": _count("jobs", args["jobs"]),
             "paranoid": args["paranoid"], "table": _tables(args["table"]),
             "engine": engine, "machine": machine, "workloads": names}
 
@@ -443,8 +408,8 @@ def characterize(instructions: int = None, seed: int = 1984,
     ... ``"9"``, ``"s4"``), or an iterable of keys.  Unknown keys raise
     :class:`ApiError` before the (expensive) composite run, as do an
     unknown ``engine``, an unknown ``machine`` (a registered backend,
-    see :mod:`repro.machines`), and an unknown, machine-refused or
-    empty workload selection.
+    see :mod:`repro.machines`), an unknown, ambiguous, machine-refused
+    or empty workload selection, and a budget or ``jobs`` below 1.
 
     The composite's workloads run as lanes of the cohort runner
     (:mod:`repro.batch`) under every ``engine`` value — lanes that
@@ -504,18 +469,19 @@ class WorkloadResult(_Result):
 def _run_workload_args(args: dict) -> dict:
     if args["workload"] is None:
         raise ApiError("field 'workload' is required")
-    machine = _machine(args["machine"])
+    machine = validate_machine(args["machine"])
     spec = _workload(args["workload"], machine)
     instructions, seed = args["instructions"], args["seed"]
     if spec.trace is not None:
         # Replay is pinned to its recording: an omitted budget or the
-        # default seed means the recorded values.
+        # default seed means the recorded values, and others are refused.
         if instructions is None and not args["smoke"]:
             instructions = spec.trace.instructions
         if seed == 1984:
             seed = spec.trace.seed
-    return {"workload": spec.name,
-            "instructions": _budget(instructions, args["smoke"]),
+    instructions = _budget(instructions, args["smoke"])
+    spec.check_replay(instructions, seed)
+    return {"workload": spec.name, "instructions": instructions,
             "seed": seed, "paranoid": args["paranoid"],
             "machine": machine}
 
@@ -541,12 +507,9 @@ def run_workload(workload=None, instructions: int = None,
     with _span("run-workload", profile=spec.name,
                instructions=instructions, seed=seed,
                machine=args["machine"]):
-        try:
-            measurement = _engines.run_workload(
-                spec.name, instructions, seed=seed,
-                paranoid=paranoid, machine=args["machine"])
-        except _registry.WorkloadError as exc:
-            raise ApiError(str(exc)) from exc
+        measurement = _engines.run_workload(
+            spec.name, instructions, seed=seed, paranoid=paranoid,
+            machine=args["machine"])
         summary = table8(measurement)
         table1_text = render_table1(table1(measurement))
     return WorkloadResult(
@@ -586,6 +549,7 @@ def hotspots(instructions: int = 20_000, top: int = 20,
     if smoke:
         instructions = min(instructions, SMOKE_INSTRUCTIONS)
     instructions = _budget(instructions, smoke)
+    _count("top", top)
     with _span("hotspots", instructions=instructions, top=top):
         measurement = _engines.run_workload(
             _registry.DEFAULT_WORKLOAD, instructions, seed=seed)
@@ -629,6 +593,8 @@ def disasm(source: str, base: int = 0x200) -> DisasmResult:
     from repro.arch.disasm import disassemble_image
     from repro.asm import assemble_text
 
+    if not 0 <= base < 1 << 32:
+        raise ApiError(f"field 'base' must be a 32-bit address, got {base}")
     with _span("disasm", base=base):
         image = assemble_text(source, base=base)
         lines = tuple(str(line) for line in disassemble_image(image))
@@ -750,10 +716,10 @@ def record_trace(workload=None, path: str = None,
     the registry under ``name`` (default ``trace-<source>``) and can
     be run like any other workload.
     """
-    from repro.workloads.trace import TraceError
     from repro.workloads.trace import record_trace as _record
+    from repro.workloads.trace import register_trace
 
-    machine_name = _machine(machine)
+    machine_name = validate_machine(machine)
     spec = _workload(workload, machine_name)
     instructions = _budget(instructions, smoke)
     if path is None:
@@ -761,21 +727,13 @@ def record_trace(workload=None, path: str = None,
     with _span("record-trace", workload=spec.name,
                instructions=instructions, seed=seed,
                machine=machine_name):
-        try:
-            handle, measurement = _record(
-                spec.name, path, instructions=instructions, seed=seed,
-                machine=machine_name, name=name)
-        except (TraceError, _registry.WorkloadError) as exc:
-            raise ApiError(str(exc)) from exc
+        handle, measurement = _record(
+            spec.name, path, instructions=instructions, seed=seed,
+            machine=machine_name, name=name)
         _engines.prime_cache(spec.name, instructions, seed,
                              measurement, machine=machine_name)
         if register:
-            from repro.workloads.trace import register_trace
-
-            try:
-                handle = register_trace(path, name=handle.name).trace
-            except _registry.WorkloadError as exc:
-                raise ApiError(str(exc)) from exc
+            handle = register_trace(path, name=handle.name).trace
     return TraceResult(
         workload=handle.name, source=handle.source, path=handle.path,
         machine=handle.machine, seed=handle.seed,
@@ -838,10 +796,13 @@ def _kernels(group, mode, variant, smoke, machine) -> list:
 
 
 def _ubench_args(args: dict) -> dict:
-    machine = _machine(args["machine"])
+    machine = validate_machine(args["machine"])
     _kernels(args["group"], args["mode"], args["variant"], args["smoke"],
              machine)
-    return {**args, "machine": machine}
+    _count("jobs", args["jobs"])
+    return {**args, "machine": machine,
+            "check_instructions": _budget(args["check_instructions"],
+                                          name="check_instructions")}
 
 
 @_command("ubench", _ubench_args,
@@ -865,11 +826,11 @@ def ubench(group: str = None, mode: str = None, variant: str = None,
     predicts with that machine's params (patch set, per-group extra
     cycles), so exactness holds on every backend.
     """
+    args = _ubench_args(locals())
     from repro.ubench import runner
 
-    machine_name = _machine(machine)
+    machine_name = args["machine"]
     kernels = _kernels(group, mode, variant, smoke, machine_name)
-    check_instructions = _budget(check_instructions, False)
     with _span("ubench", kernels=len(kernels), jobs=jobs,
                machine=machine_name):
         results = runner.run_suite(kernels, jobs=jobs,
@@ -879,8 +840,8 @@ def ubench(group: str = None, mode: str = None, variant: str = None,
             from repro.ubench.consistency import check_composite
 
             composite = _engines.standard_composite(
-                instructions=check_instructions, seed=seed, jobs=jobs,
-                machine=machine_name)
+                instructions=args["check_instructions"], seed=seed,
+                jobs=jobs, machine=machine_name)
             check_doc = check_composite(composite, machine=machine_name)
     failed = tuple(r["kernel"] for r in results
                    if not (r["exact"] and r["reconciled"]))
@@ -940,22 +901,18 @@ def explore_spec(spec: str = "paper-sensitivity", axes=(),
     """
     from dataclasses import replace
 
-    from repro.explore import SPECS, Axis, SpaceError, parse_axis
+    from repro.explore import SPECS, Axis, parse_axis
     from repro.explore.space import WORKLOAD_AXIS
 
     if not isinstance(axes, (list, tuple)):
         raise ApiError(
             "explore: field 'axes' must be a list of NAME=V1,V2 "
             f"strings, got {axes!r}")
-    machine_name = _machine(machine)
     parsed = []
     sweep_workloads = None
     for axis in axes:
         if isinstance(axis, str):
-            try:
-                axis = parse_axis(axis)
-            except SpaceError as exc:
-                raise ApiError(str(exc)) from exc
+            axis = parse_axis(axis)
         elif not isinstance(axis, Axis):
             raise ApiError(
                 "explore: each entry of field 'axes' must be a "
@@ -964,11 +921,10 @@ def explore_spec(spec: str = "paper-sensitivity", axes=(),
             sweep_workloads = tuple(axis.values)
             continue
         parsed.append(axis)
-    name = "smoke" if smoke else spec
-    base = SPECS.get(name)
-    if base is None:
-        raise ApiError(f"unknown spec {name!r}; choose from "
+    if spec not in SPECS:
+        raise ApiError(f"unknown spec {spec!r}; choose from "
                        f"{', '.join(sorted(SPECS))}")
+    base = SPECS["smoke" if smoke else spec]
     overrides = {}
     if parsed:
         overrides["axes"] = tuple(parsed)
@@ -983,11 +939,8 @@ def explore_spec(spec: str = "paper-sensitivity", axes=(),
     if seed is not None:
         overrides["seed"] = seed
     if machine is not None:
-        overrides["machine"] = machine_name
-    try:
-        return replace(base, **overrides) if overrides else base
-    except SpaceError as exc:
-        raise ApiError(str(exc)) from exc
+        overrides["machine"] = machine
+    return replace(base, **overrides) if overrides else base
 
 
 def explore_points(spec: str = "paper-sensitivity", axes=(),
@@ -995,12 +948,11 @@ def explore_points(spec: str = "paper-sensitivity", axes=(),
                    seed: int = None, smoke: bool = False,
                    store=None, machine: str = None) -> ExplorePointsResult:
     """Enumerate a sweep's points (and store status) without simulating."""
-    from repro.explore import ResultStore, code_version, result_key
+    from repro.explore import code_version, result_key
 
     resolved = explore_spec(spec, axes, mode, instructions, seed, smoke,
                             machine=machine)
-    if store is not None and not isinstance(store, ResultStore):
-        store = ResultStore(store)
+    store = _store(store)
     code = code_version()
     listing = []
     for point in resolved.points():
@@ -1016,10 +968,17 @@ def explore_points(spec: str = "paper-sensitivity", axes=(),
                                points=tuple(listing))
 
 
+def _sweep(args: dict) -> tuple:
+    """Explore's arguments, checked: (SweepSpec, engine name)."""
+    _count("jobs", args["jobs"])
+    return (explore_spec(args["spec"], args["axes"], args["mode"],
+                         args["instructions"], args["seed"],
+                         args["smoke"], machine=args["machine"]),
+            validate_engine(args["engine"]))
+
+
 def _explore_args(args: dict) -> dict:
-    resolved = explore_spec(args["spec"], args["axes"], args["mode"],
-                            args["instructions"], args["seed"],
-                            args["smoke"], machine=args["machine"])
+    resolved, engine = _sweep(args)
     return {"spec": resolved.name,
             "axes": [[axis.name, list(axis.values)]
                      for axis in resolved.axes],
@@ -1027,8 +986,7 @@ def _explore_args(args: dict) -> dict:
             "workloads": list(resolved.workloads),
             "instructions": resolved.instructions,
             "seed": resolved.seed, "jobs": args["jobs"],
-            "engine": _engine(args["engine"]),
-            "machine": resolved.machine}
+            "engine": engine, "machine": resolved.machine}
 
 
 @_command("explore", _explore_args,
@@ -1059,14 +1017,13 @@ def explore(spec: str = "paper-sensitivity", axes=(), mode: str = None,
     machine — ``batch`` fuses them, ``scalar`` does not, ``auto`` fuses
     when any would — and the records are bit-identical either way.
     ``machine`` re-baselines the sweep on a registered backend.  An
-    unknown engine or machine name, or a store that cannot hold
-    records, raises :class:`ApiError` before anything simulates.
+    unknown engine or machine name, ``jobs`` below 1, or a store that
+    cannot hold records, raises :class:`ApiError` before anything
+    simulates.
     """
+    resolved, engine_name = _sweep(locals())
     from repro.explore import run_sweep, sensitivity
 
-    engine_name = _engine(engine)
-    resolved = explore_spec(spec, axes, mode, instructions, seed, smoke,
-                            machine=machine)
     store = _store(store)
     with _span("explore", spec=resolved.name, jobs=jobs,
                engine=engine_name, machine=resolved.machine):
@@ -1107,15 +1064,17 @@ class ValidateResult(_Result):
 
 
 def _validate_args(args: dict) -> dict:
-    engine = _engine(args["engine"], choices=("scalar", "batch"))
-    machine = _machine(args["machine"])
+    engine = validate_engine(args["engine"], ("scalar", "batch"))
+    machine = validate_machine(args["machine"])
     names = _workload_names(args["workloads"], machine)
-    fuzz_instructions = args["fuzz_instructions"]
+    fuzz_instructions = _budget(args["fuzz_instructions"],
+                                name="fuzz_instructions")
     if args["smoke"]:
         fuzz_instructions = min(fuzz_instructions, 200)
+    _count("jobs", args["jobs"])
     return {"instructions": _budget(args["instructions"], args["smoke"],
                                     20_000),
-            "fuzz_cases": args["fuzz_cases"],
+            "fuzz_cases": _count("fuzz_cases", args["fuzz_cases"], 0),
             "fuzz_instructions": fuzz_instructions,
             "seed": args["seed"], "smoke": args["smoke"],
             "engine": engine, "machine": machine, "workloads": names}
@@ -1235,14 +1194,12 @@ def refute(campaign: str = None, smoke: bool = False, seed: int = None,
     from repro.refute import (CAMPAIGNS, PERTURBATIONS, run_campaign,
                               run_self_check)
 
-    name = "smoke" if smoke else (campaign or "standard")
-    spec = CAMPAIGNS.get(name)
-    if spec is None:
+    name = "standard" if campaign is None else campaign
+    if name not in CAMPAIGNS:
         raise ApiError(f"unknown campaign {name!r}; choose from "
                        f"{', '.join(CAMPAIGNS)}")
-    if plant is not None and plant not in PERTURBATIONS:
-        raise ApiError(f"unknown perturbation {plant!r}; choose from "
-                       f"{', '.join(PERTURBATIONS)}")
+    spec = CAMPAIGNS["smoke" if smoke else name]
+    _count("jobs", jobs)
     store = _store(store) if plant is None else None
     with _span("refute", campaign=spec.name, jobs=jobs, plant=plant):
         result = run_campaign(spec, seed=seed, jobs=jobs, store=store,

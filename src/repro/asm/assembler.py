@@ -28,19 +28,22 @@ form.  Directives: ``.byte``, ``.word``, ``.long``, ``.space``, ``.align``,
 ``.ascii``.
 
 Pass 1 sizes every statement (all encodings in this subset have static
-length); pass 2 encodes with the resolved symbol table, leaving branch
-displacements to :class:`~repro.asm.program.ProgramBuilder` fixups.
+length); pass 2 encodes with the resolved symbol table, so a branch's
+displacement is checked on its own line.  Source that does not
+assemble raises :class:`SourceError` naming the line.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from contextlib import contextmanager
 
 from repro.arch import encode as enc
 from repro.arch.opcodes import OPCODES_BY_NAME, opcode as opcode_info
 from repro.arch.registers import register_number
 from repro.asm.program import AssemblyError, Image, ProgramBuilder
+from repro.errors import ApiError
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
 _NAME_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
@@ -98,6 +101,21 @@ def _split_operands(text: str) -> list:
     return operands
 
 
+class SourceError(AssemblyError, ApiError):
+    """Source text that does not assemble (bad input: CLI exit 2)."""
+
+
+@contextmanager
+def _line(lineno: int):
+    """Raise what the statement on ``lineno`` fails with as a
+    :class:`SourceError` naming the line."""
+    try:
+        yield
+    except (AssemblyError, enc.EncodeError, ArithmeticError, IndexError,
+            KeyError, ValueError, struct.error) as exc:
+        raise SourceError(f"line {lineno}: {exc}") from exc
+
+
 class Assembler:
     """Parses assembly text and produces an :class:`Image`."""
 
@@ -108,8 +126,9 @@ class Assembler:
     def assemble(self) -> Image:
         """Run both passes and return the assembled image."""
         statements = self._parse()
-        symbols = self._size_pass(statements)
-        return self._encode_pass(statements, symbols)
+        labels = {text: 0 for kind, text, _ in statements if kind == "label"}
+        symbols = self._pass(statements, labels, sizing=True).symbols
+        return self._pass(statements, symbols)
 
     # -- parsing ---------------------------------------------------------
 
@@ -127,75 +146,48 @@ class Assembler:
                 line = ""
         return statements
 
-    # -- pass 1: sizing ---------------------------------------------------
+    # -- the passes ---------------------------------------------------------
 
-    def _size_pass(self, statements) -> dict:
-        symbols = {}
-        offset = 0
-        dummy = {name: 0 for name in self._collect_labels(statements)}
-        for kind, text, lineno in statements:
-            if kind == "label":
-                symbols[text] = self._base + offset
-                continue
-            parts = text.split(None, 1)
-            if parts[0].lower() == ".align":
-                # Alignment depends on the running offset, which a fresh
-                # sizing builder cannot see.
-                boundary = _parse_int(parts[1], dummy)
-                offset += (-offset) % boundary
-                continue
-            offset += len(self._encode_statement(text, dummy, lineno,
-                                                 sizing=True))
-        return symbols
-
-    @staticmethod
-    def _collect_labels(statements) -> list:
-        return [text for kind, text, _ in statements if kind == "label"]
-
-    # -- pass 2: encoding -------------------------------------------------
-
-    def _encode_pass(self, statements, symbols) -> Image:
+    def _pass(self, statements, symbols, sizing: bool = False) -> Image:
+        """Pass 1 (``sizing``, every branch 0) lays out the labels; pass
+        2 encodes against them."""
         builder = ProgramBuilder()
         for kind, text, lineno in statements:
-            if kind == "label":
-                builder.label(text)
-                continue
-            self._emit_statement(builder, text, symbols, lineno)
+            with _line(lineno):
+                if kind == "label":
+                    builder.label(text)
+                else:
+                    self._emit_statement(builder, text, symbols, sizing)
         return builder.assemble(self._base)
 
-    def _encode_statement(self, text, symbols, lineno, sizing) -> bytes:
-        builder = ProgramBuilder()
-        self._emit_statement(builder, text, symbols, lineno, sizing=sizing)
-        return builder.assemble(0).data
-
-    def _emit_statement(self, builder, text, symbols, lineno,
+    def _emit_statement(self, builder, text, symbols,
                         sizing: bool = False) -> None:
         parts = text.split(None, 1)
         mnemonic = parts[0].lower()
         field = parts[1] if len(parts) > 1 else ""
-        try:
-            if mnemonic.startswith("."):
-                self._emit_directive(builder, mnemonic, field, symbols)
-                return
-            info = opcode_info(mnemonic)
-            operand_texts = _split_operands(field)
-            if info.family == "CASE":
-                self._emit_case(builder, info, operand_texts, symbols, sizing)
-                return
-            if info.branch_operand is not None:
-                target_text = operand_texts[-1]
-                operands = [self._parse_operand(t, symbols)
-                            for t in operand_texts[:-1]]
-                if sizing:
-                    builder.branch(info.mnemonic, 0, *operands)
-                else:
-                    builder.branch(info.mnemonic, target_text, *operands)
-                return
+        if mnemonic.startswith("."):
+            self._emit_directive(builder, mnemonic, field, symbols)
+            return
+        info = opcode_info(mnemonic)
+        operand_texts = _split_operands(field)
+        if info.family == "CASE":
+            self._emit_case(builder, info, operand_texts, symbols, sizing)
+            return
+        if info.branch_operand is not None:
+            if not operand_texts:
+                raise AssemblyError(f"{info.mnemonic} needs a target")
+            *operand_texts, target = operand_texts
             operands = [self._parse_operand(t, symbols)
                         for t in operand_texts]
-            builder.emit(info.mnemonic, *operands)
-        except (AssemblyError, enc.EncodeError, KeyError, ValueError) as exc:
-            raise AssemblyError(f"line {lineno}: {exc}") from exc
+            # The displacement runs from the end of this instruction.
+            end = self._base + builder.offset + len(
+                enc.encode_instruction(info, operands, branch_disp=0))
+            builder.branch(info.mnemonic, 0 if sizing else
+                           _parse_int(target, symbols) - end, *operands)
+            return
+        operands = [self._parse_operand(t, symbols)
+                    for t in operand_texts]
+        builder.emit(info.mnemonic, *operands)
 
     def _emit_case(self, builder, info, operand_texts, symbols,
                    sizing) -> None:
@@ -207,6 +199,8 @@ class Assembler:
         limit = self._parse_operand(operand_texts[2], symbols)
         target_field = ",".join(operand_texts[3:]).strip().strip("()")
         targets = [t.strip() for t in target_field.split(",") if t.strip()]
+        for target in targets:
+            _parse_int(target, symbols)     # each a defined label
         if sizing:
             targets = [0] * len(targets)
             table = list(targets)

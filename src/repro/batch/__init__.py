@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro.batch.engine import BatchRunner, LaneResult, run_lanes
 from repro.batch.lanes import Cohort, LaneSpec, plan_cohorts
+from repro.errors import ApiError
 
 __all__ = ["ENGINES", "EngineError", "validate_engine",
            "BatchRunner", "Cohort", "LaneResult", "LaneSpec",
@@ -30,16 +31,17 @@ __all__ = ["ENGINES", "EngineError", "validate_engine",
 ENGINES = ("scalar", "batch", "auto")
 
 
-class EngineError(ValueError):
+class EngineError(ApiError):
     """An engine name outside the accepted set."""
 
 
 def validate_engine(name, choices=ENGINES) -> str:
     """Normalize and validate an engine name (None means scalar).
 
-    Raises :class:`EngineError` — a ``ValueError`` — listing the valid
-    engines, so callers can reject bad input before simulating,
-    consistent with the ``--table``/axis pre-validation pattern.
+    Raises :class:`EngineError` — an :class:`~repro.errors.ApiError` —
+    listing the valid engines, so callers can reject bad input before
+    simulating, consistent with the ``--table``/axis pre-validation
+    pattern.
     """
     if name is None:
         return "scalar"

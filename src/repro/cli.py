@@ -5,10 +5,12 @@ flags are generated from its declaration (:data:`repro.api.COMMANDS`):
 a subcommand accepts exactly the parameters its facade call takes,
 spelled, typed and documented there, and a flag left unset is not
 passed at all, so the facade's signature owns every default.  Handlers
-only call the facade and render the result.  Validation errors surface
-as :class:`repro.api.ApiError` and exit with code 2 (as do flags a
-subcommand does not take); result failures (inexact kernels, a failed
-claim check, a divergence) exit with code 1.
+only call the facade and render the result.  Bad input raises
+:class:`repro.api.ApiError` (every domain error subclasses it), which
+:func:`main`'s one ``except`` turns into exit code 2 before anything
+simulates (argparse does the same for flags a subcommand does not
+take or values of the wrong type); result failures (inexact kernels, a
+failed claim check, a divergence) exit with code 1.
 
 Commands: one per declared facade function (``python -m repro --help``
 lists them, each with its docstring's summary line), plus ``serve`` —
@@ -360,15 +362,17 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
+    from repro.batch import validate_engine
+    from repro.machines.registry import validate_machine
     from repro.serve import JobServer
 
-    api._engine(args.engine)        # fail at startup, not per request
-    api._machine(args.machine)      # likewise
+    validate_engine(args.engine)    # fail at startup, not per request
+    validate_machine(args.machine)  # likewise
     config = ServeConfig(
         engine=args.engine, machine=args.machine,
         **{name: getattr(args, name) for name in _serve_flags()})
     if args.jobs is not None:
-        config.workers = args.jobs
+        config.workers = api._count("jobs", args.jobs)
     if args.store is not None:
         config.store = args.store
     if not args.use_store:

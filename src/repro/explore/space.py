@@ -21,16 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from repro.errors import ApiError
 from repro.machines.registry import (DEFAULT_MACHINE, MachineError,
-                                     get_machine, machine_names,
-                                     validate_machine)
+                                     get_machine, validate_machine)
 from repro.params import MachineParams, VAX780
 from repro.workloads.registry import (WORKLOADS, WorkloadError,
                                       find_workload,
                                       paper_workload_names)
 
 
-class SpaceError(ValueError):
+class SpaceError(ApiError):
     """An invalid axis name, axis value, or enumerated point."""
 
 
@@ -114,11 +114,7 @@ def _point(overrides: dict, instructions: int, seed: int,
            machine: str = DEFAULT_MACHINE) -> Point:
     instructions = overrides.pop("instructions", instructions)
     seed = overrides.pop("seed", seed)
-    machine = overrides.pop("machine", machine)
-    try:
-        machine = validate_machine(machine)
-    except MachineError as exc:
-        raise SpaceError(str(exc)) from exc
+    machine = validate_machine(overrides.pop("machine", machine))
     # An override equal to the machine's stock value IS that machine's
     # baseline; dropping it makes the shared one-factor-at-a-time
     # baseline point compare equal.
@@ -142,10 +138,7 @@ def _check_point(point: Point, workload: str) -> None:
     memory cannot hold its processes."""
     from repro.osim.executive import LayoutError, check_memory
 
-    try:
-        WORKLOADS[workload].check_machine(point.machine)
-    except WorkloadError as exc:
-        raise SpaceError(str(exc)) from exc
+    WORKLOADS[workload].check_machine(point.machine)
     profile = get_machine(point.machine).adapt_profile(
         WORKLOADS[workload].profile)
     try:
@@ -174,11 +167,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "workloads", tuple(self.workloads))
-        try:
-            object.__setattr__(self, "machine",
-                               validate_machine(self.machine))
-        except MachineError as exc:
-            raise SpaceError(str(exc)) from exc
+        object.__setattr__(self, "machine",
+                           validate_machine(self.machine))
         if self.mode not in ("ofat", "cartesian"):
             raise SpaceError(
                 f"unknown mode {self.mode!r}; use 'ofat' or 'cartesian'")
@@ -250,12 +240,10 @@ def parse_axis(text: str) -> Axis:
     if name == WORKLOAD_AXIS:
         values = []
         for part in values_text.split(","):
-            part = part.strip()
-            spec = find_workload(part)
-            if spec is None:
-                raise SpaceError(
-                    f"axis 'workload': {part!r} is not a registered "
-                    f"workload; choose from {', '.join(WORKLOADS)}")
+            try:
+                spec = find_workload(part.strip())
+            except WorkloadError as exc:
+                raise SpaceError(f"axis 'workload': {exc}") from exc
             if spec.trace is not None:
                 raise SpaceError(
                     f"axis 'workload': trace workload {spec.name!r} "
@@ -266,14 +254,10 @@ def parse_axis(text: str) -> Axis:
     if name == "machine":
         values = []
         for part in values_text.split(","):
-            part = part.strip()
             try:
-                values.append(validate_machine(part))
+                values.append(validate_machine(part.strip()))
             except MachineError as exc:
-                raise SpaceError(
-                    f"axis 'machine': {part!r} is not a registered "
-                    f"machine; choose from "
-                    f"{', '.join(machine_names())}") from exc
+                raise SpaceError(f"axis 'machine': {exc}") from exc
         return Axis(name, tuple(values))
     if name in SPECIAL_AXES:
         kind = int

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.errors import ApiError
 from repro.params import MachineParams, VAX780 as VAX780_PARAMS
 
 
-class MachineError(ValueError):
-    """An unknown machine name (callers map this to their error type)."""
+class MachineError(ApiError):
+    """An unknown machine name."""
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from repro.cpu.machine import (SCB_CHMK, SCB_CLOCK, SCB_PAGE_FAULT,
                                s0_table_base)
 from repro.cpu.executors.system import (PCB_AP, PCB_FP, PCB_KSP, PCB_PC,
                                         PCB_PSL, PCB_USP)
+from repro.errors import ApiError
 from repro.obs import metrics
 from repro.osim import kernelgen
 from repro.osim.devices import IntervalClock, TerminalMux
@@ -74,7 +75,7 @@ P1_TABLE_OFFSET = 0x3000
 USER_STACK_PAGES = 32
 
 
-class LayoutError(ValueError):
+class LayoutError(ApiError):
     """A workload whose processes do not fit in the machine's memory."""
 
 

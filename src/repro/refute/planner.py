@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
+from repro.errors import ApiError
 from repro.machines.registry import DEFAULT_MACHINE
 from repro.obs import metrics
 from repro.refute.assumptions import (ASSUMPTIONS, ProbePoint,
@@ -53,7 +54,7 @@ REFUTATIONS_SCHEMA = 1
 SHRINK_CAP = 4
 
 
-class RefuteError(ValueError):
+class RefuteError(ApiError):
     """An invalid campaign or plant name."""
 
 

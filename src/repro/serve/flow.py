@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import time
 
+from repro.errors import ApiError
+
 
 class TokenBucket:
     """The classic limiter: ``burst`` capacity, ``rate`` tokens/second.
@@ -38,9 +40,9 @@ class TokenBucket:
     def __init__(self, rate: float, burst: int,
                  clock=time.monotonic) -> None:
         if burst < 1:
-            raise ValueError(f"burst must be at least 1, got {burst}")
+            raise ApiError(f"burst must be at least 1, got {burst}")
         if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+            raise ApiError(f"rate must be >= 0, got {rate}")
         self.rate = rate
         self.burst = burst
         self.tokens = float(burst)
@@ -78,6 +80,8 @@ class RateLimiter:
 
     def __init__(self, rate, burst: int = 8,
                  clock=time.monotonic) -> None:
+        if rate is not None:    # refuse a bad rate or burst now
+            TokenBucket(rate, burst, clock)
         self.rate = rate
         self.burst = burst
         self.clock = clock

@@ -87,6 +87,8 @@ class JobServer:
 
     def __init__(self, config: ServeConfig = None) -> None:
         self.config = config or ServeConfig()
+        # A queue of size 0 is unbounded: no backpressure.
+        api._count("queue_size", self.config.queue_size)
         self.store = ResultStore(self.config.store) \
             if self.config.store is not None else None
         self.table = JobTable(history=self.config.history)

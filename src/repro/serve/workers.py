@@ -19,11 +19,10 @@ assembles each job's result without simulating anything.  Results are
 bit-identical to direct facade calls either way; fusion only moves
 wall-clock time.
 
-Deterministic failures (an :class:`~repro.api.ApiError` that slipped
-past submission validation, a simulation error) are *returned* as
-error envelopes rather than raised, so ``run_tasks`` never burns its
-retries re-running a job that will fail identically; only a worker
-process dying triggers the retry/fallback machinery.
+Deterministic failures (a simulation error) are *returned* as error
+envelopes rather than raised, so ``run_tasks`` never burns its retries
+re-running a job that will fail identically; only a worker process
+dying triggers the retry/fallback machinery.
 """
 
 from __future__ import annotations

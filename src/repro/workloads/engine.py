@@ -42,8 +42,8 @@ from repro import obs
 from repro.analysis.measurement import Measurement, composite
 from repro.machines.registry import DEFAULT_MACHINE
 from repro.obs import metrics
-from repro.workloads.registry import (WorkloadError, WorkloadSpec,
-                                      get_workload, paper_workload_names)
+from repro.workloads.registry import (WorkloadSpec, get_workload,
+                                      paper_workload_names)
 
 #: Default measurement window per workload, in measured instructions.
 #: ~60k per workload keeps a five-workload composite comfortably under a
@@ -87,12 +87,7 @@ def _run_trace(spec: WorkloadSpec, instructions, seed: int,
     spec.check_machine(machine)
     if instructions is None:
         instructions = handle.instructions
-    if instructions != handle.instructions or seed != handle.seed:
-        raise WorkloadError(
-            f"trace workload {spec.name!r} was recorded at "
-            f"{handle.instructions} instructions with seed "
-            f"{handle.seed} and replays only there (got "
-            f"instructions={instructions}, seed={seed})")
+    spec.check_replay(instructions, seed)
     key = (spec.name, instructions, seed, machine)
     cached = _CACHE.get(key)
     if cached is not None:

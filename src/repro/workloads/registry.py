@@ -39,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ApiError
 from repro.workloads.profiles import MixProfile, STANDARD_PROFILES
 from repro.workloads.zoo import ZOO_PROFILES
 
 
-class WorkloadError(ValueError):
-    """An unknown or unusable workload (callers map this to ApiError)."""
+class WorkloadError(ApiError):
+    """An unknown, ambiguous or unusable workload."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,19 @@ class WorkloadSpec:
                 f"workload {self.name!r} needs executor families "
                 f"{', '.join(refused)} that machine "
                 f"{get_machine(machine).name!r} does not implement")
+
+    def check_replay(self, instructions: int, seed: int) -> None:
+        """Raise :class:`WorkloadError` unless a trace-backed workload
+        runs at its recorded budget and seed (the only run it can
+        replay); a generator workload runs at any."""
+        handle = self.trace
+        if handle is not None and (instructions, seed) != (
+                handle.instructions, handle.seed):
+            raise WorkloadError(
+                f"trace workload {self.name!r} was recorded at "
+                f"{handle.instructions} instructions with seed "
+                f"{handle.seed} and replays only there (got "
+                f"instructions={instructions}, seed={seed})")
 
 
 def _generator_tag(profile: MixProfile) -> str:
@@ -230,24 +244,30 @@ def get_workload(name) -> WorkloadSpec:
 
 
 def find_workload(nameish) -> WorkloadSpec:
-    """Resolve a loose workload spelling, or return None.
+    """Resolve a loose workload spelling to exactly one workload.
 
-    Accepts a registered name, a unique name suffix (``"research"`` ->
+    Accepts a :class:`WorkloadSpec`, a registered name, a suffix that
+    one registered name alone ends with (``"research"`` ->
     ``timesharing-research``, the facade's historical convenience), or
     a ``trace:PATH`` reference, which ingests the trace file on the
     spot (idempotently) and resolves to the registered trace workload.
-    Registration order is paper-first, so every suffix that resolved
-    against the original five still resolves to the same profile.
+    An empty, unknown or ambiguous spelling raises
+    :class:`WorkloadError` listing the candidates.
     """
     if isinstance(nameish, WorkloadSpec):
         return nameish
-    if not isinstance(nameish, str):
-        return None
-    if nameish.startswith("trace:"):
+    text = nameish if isinstance(nameish, str) else ""
+    if text.startswith("trace:"):
         from repro.workloads.trace import register_trace
 
-        return register_trace(nameish[len("trace:"):])
-    for spec in WORKLOADS.values():
-        if spec.name == nameish or spec.name.endswith(nameish):
-            return spec
-    return None
+        return register_trace(text[len("trace:"):])
+    if text in WORKLOADS:
+        return WORKLOADS[text]
+    matches = [name for name in WORKLOADS if text and name.endswith(text)]
+    if len(matches) == 1:
+        return WORKLOADS[matches[0]]
+    if matches:
+        raise WorkloadError(f"workload {nameish!r} is ambiguous: it "
+                            f"matches {', '.join(matches)}")
+    raise WorkloadError(f"unknown workload {nameish!r}; choose from "
+                        f"{', '.join(WORKLOADS)} (see 'repro workloads')")

@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, fields as dc_fields
 
+from repro.errors import ApiError
 from repro.workloads.profiles import MixProfile
 
 #: File magic for repro trace files.
@@ -51,7 +53,7 @@ _HEAD = struct.Struct("<4sHI")
 _SLEN = struct.Struct("<Q")
 
 
-class TraceError(ValueError):
+class TraceError(ApiError):
     """An unreadable, corrupt or mismatching trace file."""
 
 
@@ -192,25 +194,31 @@ def record_trace(workload: str, path, instructions: int = None,
     window — with the stream recorder chained in, so the returned
     measurement is bit-identical to the engine's (callers may prime the
     engine memo with it).  ``name`` is the workload name the trace will
-    register under when ingested (default ``trace-<source>``).
+    register under when ingested (default ``trace-<source>``).  A trace
+    source, a ``name`` taken by a generator workload or a ``path`` in
+    no directory raises :class:`TraceError` before anything simulates.
     """
     from repro.analysis.measurement import Measurement
     from repro.machines.registry import get_machine
     from repro.osim.executive import Executive
     from repro.workloads import engine as _engine
-    from repro.workloads.registry import WorkloadError, find_workload
+    from repro.workloads.registry import WORKLOADS, find_workload
 
     spec = find_workload(workload)
-    if spec is None:
-        from repro.workloads.registry import workload_names
-
-        raise WorkloadError(
-            f"unknown workload {workload!r}; choose from "
-            f"{', '.join(workload_names())}")
     if spec.trace is not None:
         raise TraceError(
             f"workload {spec.name!r} is already a recorded trace; "
             "record from a generator workload")
+    trace_name = name if name is not None else f"trace-{spec.name}"
+    taken = WORKLOADS.get(trace_name)
+    if taken is not None and taken.trace is None:
+        raise TraceError(
+            f"workload name {trace_name!r} is already registered to a "
+            "generator workload; pass a different name")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise TraceError(f"cannot write trace file {path}: {folder} is "
+                         "not a directory")
     if instructions is None:
         instructions = _engine.DEFAULT_INSTRUCTIONS
     machine_spec = get_machine(machine)
@@ -229,7 +237,6 @@ def record_trace(workload: str, path, instructions: int = None,
 
     from repro.explore.store import code_version
 
-    trace_name = name if name is not None else f"trace-{spec.name}"
     header = {
         "name": trace_name,
         "source": spec.name,

@@ -15,7 +15,7 @@ import pytest
 from repro import api
 from repro.explore import (Axis, ResultStore, SpaceError, SweepSpec,
                            parse_axis, run_sweep, valid_axes)
-from repro.workloads.registry import paper_workload_names
+from repro.workloads.registry import WorkloadError, paper_workload_names
 
 PAPER = paper_workload_names()
 
@@ -63,7 +63,7 @@ class TestSpecValidation:
                                   "timesharing-research")
 
     def test_unsupported_pair_fails_before_any_shard(self):
-        with pytest.raises(SpaceError) as err:
+        with pytest.raises(WorkloadError) as err:
             SweepSpec(
                 name="refused",
                 axes=(Axis("machine", ("uvax78032",)),),

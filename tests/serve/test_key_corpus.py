@@ -214,6 +214,28 @@ REJECTED = [
     (_doc("explore", {"smoke": True, "store": "/tmp/store"}), ["store"]),
     (_doc("explore", {"smoke": True, "resume": False}), ["resume"]),
     (_doc("validate", {"smoke": True, "jobs": 2}), ["jobs"]),
+    # Out-of-domain values once accepted, or failed only in a worker.
+    (_doc("ubench", {"smoke": True, "check_instructions": 0}),
+     ["check_instructions"]),
+    (_doc("characterize", {"smoke": True, "jobs": 0}), ["jobs"]),
+    (_doc("characterize", {"smoke": True, "jobs": -3}), ["jobs"]),
+    (_doc("ubench", {"smoke": True, "jobs": -3}), ["jobs"]),
+    (_doc("explore", {"smoke": True, "jobs": 0}), ["jobs"]),
+    (_doc("validate", {"smoke": True, "fuzz_cases": -1}), ["fuzz_cases"]),
+    (_doc("validate", {"smoke": True, "fuzz_cases": 1,
+                       "fuzz_instructions": 0}), ["fuzz_instructions"]),
+    (_doc("validate", {"smoke": True, "fuzz_instructions": -5}),
+     ["fuzz_instructions"]),
+    (_doc("run-workload", {"workload": "", "smoke": True}), ["''"]),
+    (_doc("run-workload", {"workload": "thrash", "smoke": True}),
+     ["tb-thrash", "cache-thrash"]),
+    (_doc("run-workload", {"workload": "scientific", "smoke": True}),
+     ["rte-scientific", "vector-scientific"]),
+    (_doc("characterize", {"smoke": True, "workloads": ["thrash"]}),
+     ["tb-thrash", "cache-thrash"]),
+    (_doc("explore", {"smoke": True, "axes": ["workload=thrash"]}),
+     ["tb-thrash", "cache-thrash"]),
+    (_doc("explore", {"smoke": True, "spec": "nonesuch"}), ["nonesuch"]),
 ]
 
 

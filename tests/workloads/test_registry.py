@@ -62,6 +62,20 @@ class TestResolution:
         assert find_workload("research").name == "timesharing-research"
         assert find_workload("educational").name == "rte-educational"
 
+    def test_find_workload_names_exactly_one_workload_or_refuses(self):
+        for name in workload_names():
+            assert find_workload(name).name == name
+        assert find_workload("commercial").name == "rte-commercial"
+        for spelling, candidates in [
+                ("thrash", ("tb-thrash", "cache-thrash")),
+                ("scientific", ("rte-scientific", "vector-scientific"))]:
+            with pytest.raises(WorkloadError, match="ambiguous") as err:
+                find_workload(spelling)
+            assert all(name in str(err.value) for name in candidates)
+        for spelling in ("", "nope", None, 7):
+            with pytest.raises(WorkloadError, match="unknown workload"):
+                find_workload(spelling)
+
     def test_find_workload_passes_specs_through(self):
         spec = get_workload("rte-commercial")
         assert find_workload(spec) is spec
