@@ -27,10 +27,13 @@ immediate otherwise; force with ``s^#`` / ``i^#``), ``rN``/``ap``/``fp``/
 form.  Directives: ``.byte``, ``.word``, ``.long``, ``.space``, ``.align``,
 ``.ascii``.
 
-Pass 1 sizes every statement (all encodings in this subset have static
-length); pass 2 encodes with the resolved symbol table, so a branch's
-displacement is checked on its own line.  Source that does not
-assemble raises :class:`SourceError` naming the line.
+Pass 1 sizes every statement against the labels of the previous
+sizing (every label at 0 the first time), and repeats until no label
+moves: an operand that names a label, such as ``#label`` or
+``label(r1)``, can change size with the label's value.  Pass 2 encodes
+with the settled symbol table, so a branch's displacement is checked
+on its own line.  Source that does not assemble, or whose layout never
+settles, raises :class:`SourceError` naming the line.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
 _NAME_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
 _DISP_RE = re.compile(r"^(?:([bwl])\^)?([^()]+)\((\w+)\)$", re.IGNORECASE)
 _INDEX_RE = re.compile(r"^(.*)\[(\w+)\]$")
+
+#: Sizing passes before a layout that still moves is refused.
+MAX_SIZING_PASSES = 16
 
 
 def _parse_int(text: str, symbols: dict) -> int:
@@ -124,11 +130,18 @@ class Assembler:
         self._base = base
 
     def assemble(self) -> Image:
-        """Run both passes and return the assembled image."""
+        """Size until the labels settle, encode, return the image."""
         statements = self._parse()
-        labels = {text: 0 for kind, text, _ in statements if kind == "label"}
-        symbols = self._pass(statements, labels, sizing=True).symbols
-        return self._pass(statements, symbols)
+        symbols = {text: 0 for kind, text, _ in statements if kind == "label"}
+        for _ in range(MAX_SIZING_PASSES):
+            laid_out = self._pass(statements, symbols, sizing=True).symbols
+            if laid_out == symbols:
+                return self._pass(statements, symbols)
+            previous, symbols = symbols, laid_out
+        lineno = next(lineno for kind, text, lineno in statements
+                      if kind == "label" and previous[text] != symbols[text])
+        raise SourceError(f"line {lineno}: label layout does not settle "
+                          f"after {MAX_SIZING_PASSES} sizing passes")
 
     # -- parsing ---------------------------------------------------------
 

@@ -3,7 +3,7 @@
 §5-style sensitivity tables over :mod:`repro.explore` results: one
 table per axis (CPI and the stall columns per instruction against the
 stock 11/780), the overlapped-decode claim check, and the
-machine-readable ``EXPLORE.json`` document CI archives.
+machine-readable document of the committed ``EXPLORE.json``.
 """
 
 from __future__ import annotations

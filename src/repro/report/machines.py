@@ -10,9 +10,8 @@ for: where the cycles go on each machine, which workloads the 78032's
 shorter memory path helps most, and how far the analytical estimates
 can be trusted (recorded per-workload error against the simulator).
 
-Regenerate with::
-
-    PYTHONPATH=src python -m repro.report.machines MACHINES.json
+Regenerate with ``python tools/artifacts.py MACHINES.json``, which runs
+this module.
 """
 
 from __future__ import annotations

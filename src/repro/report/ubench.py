@@ -4,7 +4,7 @@ uops.info-style tables over :mod:`repro.ubench` results: the per-kernel
 measured-vs-predicted listing (with every non-busy cycle itemized by
 cause), per-opcode-group latency summaries, per-specifier-mode costs,
 and the composite-consistency rows.  ``ubench_json`` shapes the same
-data into the machine-readable ``UBENCH.json`` baseline CI archives.
+data into the machine-readable document of the committed ``UBENCH.json``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A validation run has two halves — the per-workload conservation-law
 reports and the differential-fuzz case list — and ``validate_json``
 shapes both into the machine-readable ``VALIDATE.json`` document the CI
-archives alongside ``UBENCH.json`` and ``EXPLORE.json``.
+archives.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ deterministic (fixed seed, memoised engine) and double as a coarse
 regression pin — a cycle-model change shows up as a WORKLOADS.json
 diff.
 
-Regenerate with::
-
-    PYTHONPATH=src python -m repro.report.workloads WORKLOADS.json
+Regenerate with ``python tools/artifacts.py WORKLOADS.json``, which runs
+this module.
 """
 
 from __future__ import annotations

@@ -330,9 +330,13 @@ class JobServer:
         Pure bookkeeping on the loop thread — the actual simulation
         happens in dispatcher rounds.  Exposed for in-process callers
         (tests, the perf harness); the HTTP POST handler is a thin
-        wrapper.
+        wrapper.  Every call counts one ``serve.submissions`` and
+        exactly one of hits, misses (a full queue included), coalesced,
+        or a rejection as rate limited, invalid or draining.
         """
+        metrics.counter("serve.submissions").inc()
         if self.draining:
+            metrics.counter("serve.rejected.draining").inc()
             return 503, {"error": "server is draining"}, {}
         wait = self.limiter.take(client or "anonymous")
         if wait > 0:
@@ -403,6 +407,7 @@ class JobServer:
                       "capacity": self.config.queue_size},
             "inflight": len(self.table.inflight),
             "draining": self.draining,
+            "submissions": count("serve.submissions"),
             "jobs": self.table.counts(),
             "cache": {
                 "hits": hits, "misses": misses,
@@ -414,6 +419,7 @@ class JobServer:
                 "queue_full": count("serve.rejected.queue_full"),
                 "rate_limited": count("serve.rejected.rate_limited"),
                 "invalid": count("serve.rejected.invalid"),
+                "draining": count("serve.rejected.draining"),
             },
             "workers": {
                 "configured": self.config.workers,

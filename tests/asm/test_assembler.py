@@ -6,6 +6,7 @@ from repro.arch import encode as enc
 from repro.arch.decode import decode_instruction
 from repro.arch.specifiers import AddressingMode
 from repro.asm import AssemblyError, ProgramBuilder, assemble_text
+from repro.asm.assembler import SourceError
 
 
 def decode_at(image, address):
@@ -203,3 +204,35 @@ class TestTextAssembler:
         """, base=0x800)
         inst = decode_at(image, 0x800)
         assert inst.specifiers[0].value == image.address_of("buf")
+
+    def test_forward_immediate_label_sizes_to_settle(self):
+        # Sized with fwd at 0, #fwd is a short literal; at its real
+        # address it is an immediate, four bytes longer.
+        image = assemble_text("movl #fwd, r0\nfwd: halt", base=0x200)
+        inst = decode_at(image, 0x200)
+        assert image.address_of("fwd") == 0x207
+        assert inst.specifiers[0].mode is AddressingMode.IMMEDIATE
+        assert inst.specifiers[0].value == 0x207
+        assert 0x200 + inst.length == 0x207
+
+    def test_forward_displacement_label_sizes_to_settle(self):
+        # fwd(r1) sizes as a byte displacement at 0, a word one at 0x205.
+        image = assemble_text("movl fwd(r1), r0\nfwd: halt", base=0x200)
+        inst = decode_at(image, 0x200)
+        assert image.address_of("fwd") == 0x205
+        assert inst.specifiers[0].mode is AddressingMode.DISPLACEMENT
+        assert inst.specifiers[0].disp_size == 2
+        assert inst.specifiers[0].displacement == 0x205
+        assert 0x200 + inst.length == 0x205
+
+    def test_backward_label_reference(self):
+        image = assemble_text("back: nop\nmovl #back, r0\nhalt", base=0x200)
+        inst = decode_at(image, 0x201)
+        assert inst.specifiers[0].value == image.address_of("back") == 0x200
+        assert decode_at(image, 0x201 + inst.length).mnemonic == "HALT"
+
+    def test_unsettled_layout_reports_line(self):
+        # #end-4 is an immediate while end-4 is negative, which puts end
+        # at 7 and makes it a short literal, which puts end at 3.
+        with pytest.raises(SourceError, match="line 2: label layout"):
+            assemble_text("movl #end-4, r0\nend: halt", base=0)

@@ -9,6 +9,8 @@ produces byte-for-byte the same measurements as the serial path for the
 same seed.
 """
 
+import time
+
 from repro.workloads import engine, parallel
 from repro.workloads.profiles import STANDARD_PROFILES
 
@@ -41,7 +43,13 @@ def _serial_composite():
 
 
 def test_serial_runs_are_bit_identical():
-    first = _fingerprint(_serial_composite())
+    start = time.perf_counter()
+    composite = _serial_composite()
+    elapsed = time.perf_counter() - start
+    instructions = composite.tracer.instructions
+    assert instructions == len(STANDARD_PROFILES) * INSTRUCTIONS
+    assert instructions / elapsed > 1_000   # sanity floor, far below real
+    first = _fingerprint(composite)
     second = _fingerprint(_serial_composite())
     assert first == second
 

@@ -232,6 +232,53 @@ class TestHttpSurface:
             assert health["ok"] is True and not health["draining"]
 
 
+class TestSubmissionAccounting:
+    def test_every_submission_is_counted_once(self, tmp_path):
+        """hits + misses + coalesced + every rejection == submissions,
+        over a session with one answer of each kind; a full queue is a
+        miss that could not queue."""
+        config = ServeConfig(store=str(tmp_path / "store"), workers=1,
+                             queue_size=1, rate=0.0, burst=3)
+
+        def counted():
+            doc = handle.do(handle.server.metrics_doc)
+            return {"submissions": doc["submissions"], **doc["cache"],
+                    **doc["rejected"]}
+
+        def submit(seed, client="a"):
+            job = {"command": "characterize", "params": payload(seed)}
+            return handle.submit(job, client=client)
+
+        with ServerThread(config) as handle:
+            before = counted()
+            handle.pause_dispatch()
+            status, miss, _ = submit(4660)
+            assert status == 202
+            assert submit(4660)[0] == 202                  # coalesced
+            assert submit(4661)[0] == 429                  # queue full
+            assert submit(4661)[0] == 429                  # rate limited
+            assert handle.submit({"command": "characterize",
+                                  "params": {"bogus": 1}},
+                                 client="b")[0] == 400
+            handle.resume_dispatch()
+            handle.client().wait(miss["id"])
+            status, hit, _ = submit(4660, client="c")
+            assert status == 200 and hit["cached"]
+            handle.do(lambda: setattr(handle.server, "draining", True))
+            assert submit(4662, client="c")[0] == 503
+            handle.do(lambda: setattr(handle.server, "draining", False))
+            after = counted()
+        delta = {name: after[name] - before[name] for name in before
+                 if name != "hit_rate"}
+        assert delta == {"submissions": 7, "hits": 1, "misses": 2,
+                         "coalesced": 1, "queue_full": 1,
+                         "rate_limited": 1, "invalid": 1, "draining": 1}
+        assert delta["submissions"] == sum(
+            delta[name] for name in ("hits", "misses", "coalesced",
+                                     "rate_limited", "invalid",
+                                     "draining"))
+
+
 class TestStoreFailures:
     def test_unusable_store_refuses_to_start(self, tmp_path):
         (tmp_path / "file").write_text("")
