@@ -14,6 +14,7 @@ from repro.analysis import Measurement, Reduction, table8
 from repro.asm import assemble_text
 from repro.cpu.machine import VAX780
 from repro.report.format import render_table8
+from repro.report.paper import CYCLE_NS
 from repro.vm.address import S0_BASE
 
 PROGRAM = """
@@ -51,7 +52,7 @@ def main():
     print(f"program result: {total} (expect 5050)")
     print(f"instructions executed: {machine.tracer.instructions}")
     print(f"cycles: {machine.cycles} "
-          f"({machine.cycles * machine.params.cycle_ns / 1000:.1f} us "
+          f"({machine.cycles * CYCLE_NS / 1000:.1f} us "
           f"of simulated 1980s time)")
 
     measurement = Measurement.capture("quickstart", machine)

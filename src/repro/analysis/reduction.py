@@ -1,10 +1,10 @@
 """Histogram reduction: from raw µPC counts to classified cycles.
 
 This module plays the role of the paper's data-reduction programs: armed
-with the microcode listing (the annotated control-store map, which is
-deterministic across machines), it classifies every histogram bucket into
-Table 8's row x column grid and recovers instruction/event counts from
-known dispatch addresses.
+with the microcode listing (the annotated control-store map every machine
+in the process runs), it classifies every histogram bucket into Table 8's
+row x column grid and recovers instruction/event counts from known
+dispatch addresses.
 """
 
 from __future__ import annotations
@@ -13,24 +13,11 @@ import functools
 
 from repro.arch.groups import OpcodeGroup
 from repro.arch.opcodes import ALL_OPCODES
+from repro.cpu.executors import listing as reference_map
 from repro.monitor.histogram import Histogram
-from repro.ucode.controlstore import ControlStore
 from repro.ucode.costs import EXC_SETUP_CYCLES, LDPCTX_ENTRY_CYCLES
-from repro.ucode.map import MicrocodeMap
 from repro.ucode.rows import (COLUMN_ORDER, Column, CycleKind, EXECUTE_ROW,
                               ROW_ORDER, Row)
-
-
-@functools.lru_cache(maxsize=1)
-def reference_map():
-    """The canonical (control store, microcode map) pair.
-
-    Allocation order is deterministic, so this matches the map inside
-    every :class:`~repro.cpu.machine.VAX780` instance.
-    """
-    store = ControlStore()
-    umap = MicrocodeMap(store)
-    return store, umap
 
 
 @functools.lru_cache(maxsize=1)

@@ -20,6 +20,7 @@ from repro.arch.registers import KERNEL, SP
 from repro.arch.specifiers import AddressingMode
 from repro.cpu import prs
 from repro.cpu.ebox import EBox
+from repro.cpu.executors import listing
 from repro.cpu.faults import (MachineHalt, PageFaultTrap, SimulatorError,
                               UnsupportedInstructionError)
 from repro.cpu.tracer import Tracer
@@ -27,17 +28,12 @@ from repro.mem.subsystem import MemorySubsystem
 from repro.monitor.histogram import HistogramBoard
 from repro.params import MachineParams, VAX780 as VAX780_PARAMS
 from repro.ucode import costs
-from repro.ucode.controlstore import ControlStore
-from repro.ucode.map import MicrocodeMap
 from repro.ucode.registry import EXECUTORS
 from repro.ucode.rows import Row
 from repro.vm.address import PAGE_SHIFT, S0, S0_BASE, is_system_space, make_va
 from repro.vm.pagetable import (PageFault, RegionTable, Translator,
                                 pte_run)
 from repro.vm.tb import TranslationBuffer
-
-# Import for side effects: registers every execute flow.
-import repro.cpu.executors  # noqa: F401
 
 _WORD = 0xFFFFFFFF
 
@@ -101,8 +97,7 @@ class VAX780:
         #: timing policy is entirely params-driven; the name labels
         #: reports and unsupported-instruction errors).
         self.name = name
-        self.store = ControlStore()
-        self.umap = MicrocodeMap(self.store)
+        _, self.umap = listing()
         self.mem = MemorySubsystem(params)
         self.tb = TranslationBuffer(params.tb_entries, params.tb_ways)
         self.board = HistogramBoard()

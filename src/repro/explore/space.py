@@ -1,7 +1,7 @@
 """Declarative sweep specifications over the 11/780's design space.
 
 The paper's §5 costs out engineering changes to the 11/780 on paper —
-overlapped decode, fewer stall cycles, fatter IB fills.  A
+overlapped decode, fewer stall cycles.  A
 :class:`SweepSpec` names those what-ifs declaratively: each
 :class:`Axis` ranges over one :class:`~repro.params.MachineParams`
 field (or over the special ``seed``/``instructions`` axes), and the

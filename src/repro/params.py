@@ -1,11 +1,18 @@
 """Machine-wide configuration for the simulated VAX-11/780.
 
 The defaults reproduce the 11/780 as described by the paper (§2.1) and its
-companion cache/TB studies: a 200 ns microcycle, an 8 KB two-way
-write-through cache with 8-byte blocks, a one-longword (4-byte) write
-buffer that recycles in 6 cycles, a 6-cycle read-miss penalty in the
-simplest case, an 8-byte instruction buffer, and a 128-entry two-way
-translation buffer split into system and process halves.
+companion cache/TB studies: an 8 KB two-way write-through cache with
+8-byte blocks, a one-longword (4-byte) write buffer that recycles in 6
+cycles, a 6-cycle read-miss penalty in the simplest case, an 8-byte
+instruction buffer, and a 128-entry two-way translation buffer split
+into system and process halves.
+
+Every field changes the simulated machine.  Facts of the 11/780 that no
+field varies are stated once where they are used: the 200 ns cycle
+(:data:`repro.report.paper.CYCLE_NS`), the 512-byte page
+(:data:`repro.vm.address.PAGE_BYTES`), the IB's longword I-stream fill
+(:mod:`repro.cpu.ibuffer`), and the microcode listing, which is
+allocated once per process (:func:`repro.cpu.executors.listing`).
 
 Benchmarks that ablate an implementation choice (cache size, TB size,
 write-buffer depth...) construct a modified :class:`MachineParams` instead
@@ -33,9 +40,6 @@ class MachineParams:
     mis-deriving ``cache_sets``/``tb_sets_per_half``.
     """
 
-    #: EBOX microinstruction time in nanoseconds (the paper's cycle).
-    cycle_ns: int = 200
-
     #: Physical memory size in bytes (the paper's machines had 8 MB).
     memory_bytes: int = 8 * 1024 * 1024
 
@@ -55,14 +59,10 @@ class MachineParams:
 
     # -- instruction buffer ----------------------------------------------
     ib_bytes: int = 8
-    #: Bytes delivered to the IB per successful I-stream cache read.
-    ib_fill_bytes: int = 4
 
     # -- translation buffer ----------------------------------------------
     tb_entries: int = 128
     tb_ways: int = 2
-    #: Page size of the VAX architecture.
-    page_bytes: int = 512
 
     # -- decode overlap (§5: "saving the non-overlapped I-Decode cycle
     # -- could save one cycle on each non-PC-changing instruction.  (The
@@ -100,10 +100,9 @@ class MachineParams:
     unsupported_families: tuple = ()
 
     def __post_init__(self) -> None:
-        positive = ("cycle_ns", "memory_bytes", "cache_bytes",
-                    "cache_ways", "cache_block_bytes", "write_buffer_depth",
-                    "ib_bytes", "ib_fill_bytes", "tb_entries", "tb_ways",
-                    "page_bytes")
+        positive = ("memory_bytes", "cache_bytes", "cache_ways",
+                    "cache_block_bytes", "write_buffer_depth", "ib_bytes",
+                    "tb_entries", "tb_ways")
         for name in positive:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \
@@ -137,13 +136,6 @@ class MachineParams:
                 f"tb_entries={self.tb_entries}, tb_ways={self.tb_ways} "
                 f"imply {self.tb_entries // (2 * self.tb_ways)} sets per "
                 "half, which is not a power of two")
-        if not _is_pow2(self.page_bytes):
-            raise ValueError(
-                f"page_bytes must be a power of two, got {self.page_bytes}")
-        if self.ib_fill_bytes > self.ib_bytes:
-            raise ValueError(
-                f"ib_fill_bytes={self.ib_fill_bytes} exceeds "
-                f"ib_bytes={self.ib_bytes}")
         if not isinstance(self.ib_prefetch, bool):
             raise ValueError(
                 f"ib_prefetch must be a bool, got {self.ib_prefetch!r}")

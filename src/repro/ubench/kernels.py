@@ -25,18 +25,18 @@ import struct
 
 from repro.arch import encode as enc
 from repro.asm.program import ProgramBuilder
-from repro.vm.address import S0_BASE
+from repro.vm.address import PAGE_BYTES, S0_BASE
 
 #: Image base: data area first, then code (labels resolve forward).
 DATA_BASE = S0_BASE + 0x8000
 
 #: Fresh, never-touched regions for cold-variant kernels (each measured
-#: copy strides onto a new 512-byte page: compulsory TB and cache miss).
+#: copy strides onto a new page: compulsory TB and cache miss).
 COLD_READ_BASE = S0_BASE + 0x200000
 COLD_WRITE_BASE = S0_BASE + 0x240000
 
-#: Page stride used by cold kernels (the 11/780 page is 512 bytes).
-COLD_STRIDE = 512
+#: Page stride used by cold kernels.
+COLD_STRIDE = PAGE_BYTES
 
 #: Default shape of a run: warm-up copies then measured copies.
 WARMUP_COPIES = 8

@@ -9,8 +9,9 @@ Table 8 :class:`~repro.ucode.rows.Row` and its
 :class:`~repro.ucode.rows.CycleKind`.  The analysis package walks these
 annotations to classify every histogram bucket.
 
-Allocation happens once at machine construction; executors hold their
-addresses as plain ints, so the hot path never touches this module.
+Allocation happens once per process
+(:func:`repro.cpu.executors.listing`); executors hold their addresses as
+plain ints, so the hot path never touches this module.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The complete microcode map of the simulated 11/780.
 
-Built once per machine, this allocates every control-store address the
-simulator can execute:
+Built once per process (:func:`repro.cpu.executors.listing`), this
+allocates every control-store address the simulator can execute:
 
 * per-family instruction decode dispatch targets (Row.DECODE),
 * the per-context "insufficient bytes" dispatch addresses whose execution

@@ -109,15 +109,18 @@ def measure(lanes, jobs: int = 1, paranoid: bool = False) -> list:
     (budget-only lanes fuse, ``jobs > 1`` fans cohorts out over worker
     processes, ``paranoid`` hooks the invariant monitor onto each
     cohort) and are memoised as they land, in this process.  A failed lane
-    raises its :class:`RuntimeError` once every lane has run.
+    raises its :class:`RuntimeError` once every lane has run.  The answer
+    holds what this call looked up or landed, whatever leaves the memo
+    meanwhile.
     """
     from repro.batch import run_lanes
 
+    found = {}
     fresh = []
     for lane in lanes:
         key = _key(lane)
         if key in _CACHE:
-            _hit(key, _CACHE[key])
+            found[key] = _hit(key, _CACHE[key])
         elif lane not in fresh:
             fresh.append(lane)
     if fresh:
@@ -127,12 +130,13 @@ def measure(lanes, jobs: int = 1, paranoid: bool = False) -> list:
 
         def landed(index, result):
             if result.ok:
-                _finish(_key(result.spec), result.measurement)
+                key = _key(result.spec)
+                found[key] = _finish(key, result.measurement)
 
         with metrics.timer("workloads.run_seconds").time():
             run_lanes(fresh, jobs=jobs, paranoid=paranoid,
                       on_start=started, on_result=landed)
-    return [_CACHE[_key(lane)] for lane in lanes]
+    return [found[_key(lane)] for lane in lanes]
 
 
 def run_workload(workload, instructions: int = None,

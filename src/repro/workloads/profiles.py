@@ -46,8 +46,6 @@ class MixProfile:
     jmp_branch: float = 0.8
 
     # -- structural parameters ---------------------------------------------
-    #: mean loop iteration count (paper: ~10 -> 91% loop branches taken).
-    loop_iterations: int = 10
     #: probability a block ends with a procedure call site.
     call_density: float = 1.0
     #: probability a block contains a JSB/RSB subroutine pair site.

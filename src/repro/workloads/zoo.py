@@ -70,42 +70,41 @@ INTERRUPT_STORM = MixProfile(
 )
 
 #: Pathological TB thrasher: many large-footprint processes switched on
-#: every quantum tick, short loops hopping across a 96 KB code image —
-#: the working set never fits the translation buffer.
+#: every quantum tick, hopping across a 96 KB code image — the working
+#: set never fits the translation buffer.
 TB_THRASH = MixProfile(
     name="tb-thrash",
     description="Pathological TB thrasher: a dozen large processes, "
                 "rapid switching, sparse touches over wide images",
     move=28.0, arith=9.0, cmp_test=16.0, char_ops=5.0, float_ops=1.5,
     decimal_ops=0.0, case_branch=5.0, jmp_branch=3.0,
-    loop_iterations=4, call_density=1.0, jsb_density=0.6,
-    syscall_density=0.03,
+    call_density=1.0, jsb_density=0.6, syscall_density=0.03,
     code_kb=96, string_kb=32, processes=12,
     clock_period_cycles=12000, quantum_ticks=1,
 )
 
 #: Pathological cache thrasher: streaming string moves long enough to
-#: sweep the 8 KB cache, with barely-iterated loops so the cached lines
+#: sweep the 8 KB cache over a wide string region, so the cached lines
 #: are evicted before reuse.
 CACHE_THRASH = MixProfile(
     name="cache-thrash",
     description="Pathological cache thrasher: long streaming string "
                 "moves and scattered scalar traffic defeating reuse",
     move=30.0, arith=7.0, cmp_test=18.0, char_ops=22.0, float_ops=0.6,
-    decimal_ops=0.0, bit_branch=10.0,
-    string_length=120, loop_iterations=3,
+    decimal_ops=0.0, bit_branch=10.0, string_length=120,
     code_kb=80, string_kb=24, processes=9,
 )
 
-#: Batch scientific vectors: long FP inner loops, little I/O — closer
-#: to a dedicated array machine than to any timesharing load.
+#: Batch scientific vectors: a floating-point and multiply/divide-heavy
+#: mix, little I/O — closer to a dedicated array machine than to any
+#: timesharing load.
 VECTOR_SCIENTIFIC = MixProfile(
     name="vector-scientific",
     description="Batch vector numerics: long floating-point inner "
                 "loops, heavy multiply/divide, minimal I/O",
     move=20.0, arith=16.0, cmp_test=12.0, float_ops=25.0,
     int_muldiv=8.0, char_ops=0.8, decimal_ops=0.0, field_ops=2.0,
-    loop_iterations=25, call_density=0.5, jsb_density=0.4,
+    call_density=0.5, jsb_density=0.4,
     syscall_density=0.010, blocking_syscall_fraction=0.05,
     terminal_period_cycles=40000, processes=3, quantum_ticks=4,
 )

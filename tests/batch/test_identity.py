@@ -139,6 +139,30 @@ class TestComposite:
                              scalar_measure(profile, 500, 11))
 
 
+    def test_measure_answers_what_it_landed_when_the_memo_drops_it(
+            self, monkeypatch):
+        """The memo may lose an entry between a lane landing and the
+        answer (a bound on the memo, a timed-out serve round): measure
+        still returns every lane's measurement."""
+        from repro.workloads import engine
+
+        monkeypatch.setattr(engine, "_CACHE", {})
+        finish = engine._finish
+
+        def finish_and_drop(key, measurement):
+            landed = finish(key, measurement)
+            engine._CACHE.clear()
+            return landed
+
+        monkeypatch.setattr(engine, "_finish", finish_and_drop)
+        profiles = STANDARD_PROFILES[:2]
+        lanes = [LaneSpec(profile.name, 500, 13) for profile in profiles]
+        measurements = engine.measure(lanes)
+        assert engine._CACHE == {}
+        for profile, measurement in zip(profiles, measurements):
+            assert_identical(measurement, scalar_measure(profile, 500, 13))
+
+
 class TestGatedLane:
     def test_gated_run_is_bit_identical(self):
         scalar = scalar_measure(GATED, 3000, 3)

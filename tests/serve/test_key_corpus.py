@@ -236,6 +236,14 @@ REJECTED = [
     (_doc("explore", {"smoke": True, "axes": ["workload=thrash"]}),
      ["tb-thrash", "cache-thrash"]),
     (_doc("explore", {"smoke": True, "spec": "nonesuch"}), ["nonesuch"]),
+    # Settings that once named a machine fact no run varied, so every
+    # value swept the same machine.
+    (_doc("explore", {"smoke": True, "axes": ["cycle_ns=100"]}),
+     ["cycle_ns"]),
+    (_doc("explore", {"smoke": True, "axes": ["ib_fill_bytes=1,8"]}),
+     ["ib_fill_bytes"]),
+    (_doc("explore", {"smoke": True, "axes": ["page_bytes=256"]}),
+     ["page_bytes"]),
 ]
 
 

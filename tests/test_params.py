@@ -49,17 +49,8 @@ class TestInvalidParams:
         with pytest.raises(ValueError, match="power of two"):
             VAX780.with_overrides(tb_entries=100)
 
-    def test_non_power_of_two_page(self):
-        with pytest.raises(ValueError, match="page_bytes"):
-            VAX780.with_overrides(page_bytes=500)
-
-    def test_ib_fill_larger_than_ib(self):
-        with pytest.raises(ValueError, match="ib_fill_bytes"):
-            VAX780.with_overrides(ib_fill_bytes=16)
-
-    @pytest.mark.parametrize("field", ["cycle_ns", "memory_bytes",
-                                       "cache_bytes", "cache_ways",
-                                       "tb_entries", "page_bytes"])
+    @pytest.mark.parametrize("field", ["memory_bytes", "cache_bytes",
+                                       "cache_ways", "tb_entries"])
     def test_zero_and_negative_rejected(self, field):
         with pytest.raises(ValueError, match="positive integer"):
             VAX780.with_overrides(**{field: 0})
@@ -84,6 +75,6 @@ class TestInvalidParams:
 class TestIntrospection:
     def test_field_names_in_declaration_order(self):
         names = MachineParams.field_names()
-        assert names[0] == "cycle_ns"
+        assert names[0] == "memory_bytes"
         assert "cache_bytes" in names
         assert "overlapped_decode" in names

@@ -107,7 +107,8 @@ class TestMicrocodeMap:
         assert store.annotation(umap.index_calc).row is Row.SPEC26
 
     def test_deterministic_allocation(self):
-        # The analysis relies on the map being identical across machines.
+        # A pool worker's histograms are reduced with the parent's
+        # listing, so allocation must be identical in every process.
         a = MicrocodeMap(ControlStore())
         b = MicrocodeMap(ControlStore())
         assert a.ird == b.ird
@@ -118,6 +119,35 @@ class TestMicrocodeMap:
         store = ControlStore()
         MicrocodeMap(store)
         assert store.allocated < store.size
+
+
+class TestListing:
+    """One microcode listing per process: every machine runs it and
+    every reduction reads it."""
+
+    def test_machines_and_the_reduction_share_one_listing(self):
+        from repro.analysis.reduction import Reduction, reference_map
+        from repro.cpu.executors import listing
+        from repro.machines.registry import MACHINES
+        from repro.monitor.histogram import HistogramBoard
+
+        store, umap = listing()
+        assert reference_map() == (store, umap)
+        assert umap.store is store
+        for spec in MACHINES.values():
+            assert spec.build().umap is spec.build().umap is umap
+        assert Reduction(HistogramBoard().snapshot()).umap is umap
+
+    def test_a_composite_run_allocates_nothing(self, monkeypatch):
+        from repro.cpu.executors import listing
+        from repro.workloads import engine
+
+        store, _ = listing()
+        allocated = store.allocated
+        monkeypatch.setattr(engine, "_CACHE", {})
+        assert engine.standard_composite(instructions=400, seed=31).cycles
+        assert listing()[0] is store
+        assert store.allocated == allocated
 
 
 class TestRegistry:

@@ -9,10 +9,13 @@ a first-class workload, runnable through the engine and the api
 facade under its own name.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import api
-from repro.workloads import engine
+from repro.workloads import engine, trace
 from repro.workloads.registry import (WORKLOADS, WorkloadError,
                                       get_workload, unregister)
 from repro.workloads.trace import (TraceError, load_trace, record_trace,
@@ -103,6 +106,24 @@ class TestRegisteredTrace:
 
 
 class TestHostileFiles:
+    def test_profile_setting_this_build_lacks_is_rejected(self, recorded):
+        """``loop_iterations`` was a profile field no generator read; a
+        well-formed trace whose profile still carries it is refused by
+        name."""
+        path, _, _ = recorded
+        blob = path.read_bytes()
+        _, version, hlen = trace._HEAD.unpack_from(blob)
+        start = trace._HEAD.size
+        header = json.loads(blob[start:start + hlen])
+        header["profile"]["loop_iterations"] = 10
+        header_bytes = json.dumps(header).encode()
+        prefix = (trace._HEAD.pack(trace.MAGIC, version, len(header_bytes))
+                  + header_bytes + blob[start + hlen:-32])
+        path.write_bytes(prefix + hashlib.sha256(prefix).digest())
+        with pytest.raises(TraceError) as err:
+            load_trace(path)
+        assert "loop_iterations" in str(err.value)
+
     def test_truncated_file_is_rejected(self, recorded):
         path, _, _ = recorded
         data = path.read_bytes()
