@@ -3,9 +3,9 @@
 Every simulated point is stored under a key derived from everything
 that determines its outcome: the full :class:`MachineParams`, the
 workload name, the instruction budget, the seed, and a digest of the
-simulator's own source (the *code version*).  Re-running a sweep
+whole package's source (the *code version*).  Re-running a sweep
 therefore only simulates points the store has never seen — interrupted
-sweeps resume for free, and a simulator change silently invalidates
+sweeps resume for free, and any source change silently invalidates
 every stale result instead of serving it.
 
 Records are small JSON summaries (cycle counts, histogram totals and
@@ -30,63 +30,31 @@ from pathlib import Path
 from repro.obs import metrics
 from repro.params import MachineParams
 
-#: Bump when the record layout changes; part of every key.
+#: Part of every key.  Any source edit already changes the code
+#: version, so a bump marks a record layout change, not invalidation.
 #: 2: keys and records carry the machine backend name.
 SCHEMA = 2
 
 
-#: Package prefixes and modules excluded from the code-version digest:
-#: they observe or present results without shaping them.  Everything
-#: else — notably the cycle model and the batch engine
-#: (``batch/``), whose bugs would change stored records — is hashed.
-#: ``refute/`` only *reads* simulations (its planted perturbations are
-#: installed per-run behind a context manager and never write through
-#: a store), so it is excluded like the other observers.
-_UNHASHED = (("explore/", "report/", "validate/", "obs/", "serve/",
-              "refute/"),
-             ("cli.py", "api.py"))
-
-
-def hashed_paths() -> tuple:
-    """Relative source paths the code version digests, sorted.
-
-    Exposed so tests can pin coverage: a result-shaping module (the
-    batch engine, say) silently dropping out of the digest would serve
-    stale records after the very bug class the digest guards against.
-    """
-    import repro
-
-    root = Path(repro.__file__).parent
-    prefixes, names = _UNHASHED
-    return tuple(
-        path.relative_to(root).as_posix()
-        for path in sorted(root.rglob("*.py"))
-        if not (path.relative_to(root).as_posix().startswith(prefixes)
-                or path.relative_to(root).as_posix() in names))
-
-
 @functools.lru_cache(maxsize=1)
 def code_version() -> str:
-    """Digest of the simulator source that determines stored results.
+    """Digest of every module of the ``repro`` package.
 
-    Hashes every module of the ``repro`` package except the explore
-    subsystem itself, the validation checks, the observability layer,
-    the report renderers, the job server, the API facade and the CLI —
-    those observe or present results without shaping them, so iterating
-    on them keeps a warm store warm.  (The serve layer's own
-    canonicalization changes are guarded separately by its
-    ``SERVE_SCHEMA`` key component.)  The batch execution engine IS
-    hashed: its fused runs produce the stored records, so a
-    batch-engine change must invalidate them.
+    Every source file can shape what a store holds: the cycle model
+    and the cohort runner make the numbers, and the sweep runner, the
+    report renderers, the validation laws and the facade shape the
+    records and documents built from them.  So no module is left out,
+    and any source change invalidates every stored result instead of
+    serving it.
     """
     import repro
 
     root = Path(repro.__file__).parent
     digest = hashlib.sha256()
-    for rel in hashed_paths():
-        digest.update(rel.encode())
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
-        digest.update((root / rel).read_bytes())
+        digest.update(path.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()[:16]
 

@@ -11,9 +11,11 @@ that differ only in field order, default-vs-explicit values, or
 shorthand spelling therefore canonicalize to the same dict — and the
 same :func:`request_key`, the serve analogue of the explore store's
 :func:`~repro.explore.store.result_key`: a sha256 over the canonical
-params plus the command, a serve schema number, and the simulator's
-code-version digest (so a simulator change invalidates every cached
-service result exactly as it invalidates sweep records).
+params plus the command, a serve schema number, and the code-version
+digest of the whole package (so any source change — the simulator,
+this module, the facade or the renderers of a result document —
+invalidates every cached service result exactly as it invalidates
+sweep records).
 
 What is serve's own: the ``{"command", "params"}`` envelope, the
 server's ``--engine``/``--machine`` defaults, and the remote-input
@@ -36,8 +38,10 @@ from dataclasses import dataclass
 from repro import api
 from repro.explore.store import code_version
 
-#: Bump when canonicalization or the served record layout changes;
-#: part of every request key.
+#: Part of every request key.  Any source edit already changes the
+#: code version, so a bump marks a canonicalization or record layout
+#: change in the keys ``tests/serve/key_corpus.json`` pins under a
+#: fixed code string.
 #: 2: every request carries the machine backend name (default vax780),
 #:    so results from different machines can never share a key.
 #: 3: workloads resolve through the workload registry — run-workload

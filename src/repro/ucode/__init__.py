@@ -1,13 +1,1 @@
 """Microcode model: control store map, rows/columns, costs, registry."""
-
-from repro.ucode.controlstore import (Annotation, ControlStore,
-                                      CONTROL_STORE_SIZE, FlowBlock)
-from repro.ucode.map import MicrocodeMap
-from repro.ucode.registry import EXECUTORS, executor
-from repro.ucode.rows import (COLUMN_ORDER, Column, CycleKind, EXECUTE_ROW,
-                              GROUP_FOR_ROW, ROW_ORDER, Row)
-
-__all__ = ["Annotation", "ControlStore", "CONTROL_STORE_SIZE", "FlowBlock",
-           "MicrocodeMap", "EXECUTORS", "executor", "COLUMN_ORDER",
-           "Column", "CycleKind", "EXECUTE_ROW", "GROUP_FOR_ROW",
-           "ROW_ORDER", "Row"]

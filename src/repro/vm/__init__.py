@@ -1,16 +1,1 @@
 """Virtual memory: address decomposition, page tables, translation buffer."""
-
-from repro.vm.address import (P0, P1, S0, P0_BASE, P1_BASE, S0_BASE,
-                              PAGE_BYTES, PAGE_SHIFT, global_vpn,
-                              is_system_space, make_va, offset_of,
-                              region_of, vpn_of)
-from repro.vm.pagetable import (AddressSpace, PageFault, RegionTable,
-                                TranslationNotMapped, Translator,
-                                PTE_VALID)
-from repro.vm.tb import TBStats, TranslationBuffer
-
-__all__ = ["P0", "P1", "S0", "P0_BASE", "P1_BASE", "S0_BASE", "PAGE_BYTES",
-           "PAGE_SHIFT", "global_vpn", "is_system_space", "make_va",
-           "offset_of", "region_of", "vpn_of", "AddressSpace", "PageFault",
-           "RegionTable", "TranslationNotMapped", "Translator", "PTE_VALID",
-           "TBStats", "TranslationBuffer"]

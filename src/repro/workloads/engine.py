@@ -17,11 +17,13 @@ no matter how large the registry grows.
 Workloads are resolved *by name* through the registry (or passed as
 a :class:`~repro.workloads.registry.WorkloadSpec`).
 
-Results are memoised per (workload, instructions, seed, machine) so
-that the table benchmarks, which all consume the same composite, pay
-for the simulation once per process.  Trace-backed workloads replay
-their recording (bit-verified, see :mod:`repro.workloads.trace`) and
-are pinned to the recorded budget, seed and machine.
+Results are memoised per :class:`~repro.batch.LaneSpec` — workload,
+instructions, seed, params overrides and machine, everything that
+shapes a run — so that the table benchmarks, which all consume the
+same composite, pay for the simulation once per process.  Trace-backed
+workloads replay their recording (bit-verified, see
+:mod:`repro.workloads.trace`) and are pinned to the recorded budget,
+seed and machine.
 
 This is the internal engine behind the public facade
 (:mod:`repro.api`).
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.analysis.measurement import Measurement, composite
+from repro.batch import LaneSpec, run_lanes
 from repro.machines.registry import DEFAULT_MACHINE
 from repro.obs import metrics
 from repro.workloads.registry import (WorkloadSpec, get_workload,
@@ -56,25 +59,23 @@ SMOKE_INSTRUCTIONS = 2_000
 _CACHE: dict = {}
 
 
-def _key(lane) -> tuple:
-    return (lane.workload, lane.instructions, lane.seed, lane.machine)
-
-
-def _hit(key, measurement) -> Measurement:
+def _hit(lane, measurement) -> Measurement:
     metrics.counter("workloads.memo_hits").inc()
-    obs.emit("workload_finished", workload=key[0], instructions=key[1],
+    obs.emit("workload_finished", workload=lane.workload,
+             instructions=lane.instructions,
              cycles=measurement.cycles, cached=True)
     obs.record_measurement(measurement)
     return measurement
 
 
-def _finish(key, measurement) -> Measurement:
-    _CACHE[key] = measurement
+def _finish(lane, measurement) -> Measurement:
+    _CACHE[lane] = measurement
     metrics.counter("workloads.runs").inc()
     metrics.counter("workloads.cycles").inc(measurement.cycles)
     metrics.counter("workloads.instructions").inc(
         measurement.tracer.instructions)
-    obs.emit("workload_finished", workload=key[0], instructions=key[1],
+    obs.emit("workload_finished", workload=lane.workload,
+             instructions=lane.instructions,
              cycles=measurement.cycles, cached=False)
     obs.record_measurement(measurement)
     return measurement
@@ -88,17 +89,17 @@ def _run_trace(spec: WorkloadSpec, instructions, seed: int,
     if instructions is None:
         instructions = handle.instructions
     spec.check_replay(instructions, seed)
-    key = (spec.name, instructions, seed, machine)
-    cached = _CACHE.get(key)
+    lane = LaneSpec(spec.name, instructions, seed, machine=machine)
+    cached = _CACHE.get(lane)
     if cached is not None:
-        return _hit(key, cached)
+        return _hit(lane, cached)
     from repro.workloads.trace import replay
 
     obs.emit("workload_started", workload=spec.name,
              instructions=instructions, seed=seed)
     with metrics.timer("workloads.run_seconds").time():
         measurement = replay(handle)
-    return _finish(key, measurement)
+    return _finish(lane, measurement)
 
 
 def measure(lanes, jobs: int = 1, paranoid: bool = False) -> list:
@@ -113,14 +114,11 @@ def measure(lanes, jobs: int = 1, paranoid: bool = False) -> list:
     holds what this call looked up or landed, whatever leaves the memo
     meanwhile.
     """
-    from repro.batch import run_lanes
-
     found = {}
     fresh = []
     for lane in lanes:
-        key = _key(lane)
-        if key in _CACHE:
-            found[key] = _hit(key, _CACHE[key])
+        if lane in _CACHE:
+            found[lane] = _hit(lane, _CACHE[lane])
         elif lane not in fresh:
             fresh.append(lane)
     if fresh:
@@ -130,13 +128,13 @@ def measure(lanes, jobs: int = 1, paranoid: bool = False) -> list:
 
         def landed(index, result):
             if result.ok:
-                key = _key(result.spec)
-                found[key] = _finish(key, result.measurement)
+                found[result.spec] = _finish(result.spec,
+                                             result.measurement)
 
         with metrics.timer("workloads.run_seconds").time():
             run_lanes(fresh, jobs=jobs, paranoid=paranoid,
                       on_start=started, on_result=landed)
-    return [found[_key(lane)] for lane in lanes]
+    return [found[lane] for lane in lanes]
 
 
 def run_workload(workload, instructions: int = None,
@@ -179,8 +177,6 @@ def run_many(workloads=None, instructions: int = DEFAULT_INSTRUCTIONS,
     which verifies bit-identity with the recording — a stronger check
     than ``paranoid``.
     """
-    from repro.batch import LaneSpec
-
     names = paper_workload_names() if workloads is None \
         else tuple(workloads)
     specs = [get_workload(name) for name in names]
@@ -244,4 +240,5 @@ def prime_cache(name: str, instructions: int, seed: int, measurement,
     source workload (the recorder is a passive boundary hook), so
     ``repro record-trace`` seeds the memo with its measurement.
     """
-    _CACHE[(name, instructions, seed, machine)] = measurement
+    _CACHE[LaneSpec(name, instructions, seed, machine=machine)] = \
+        measurement

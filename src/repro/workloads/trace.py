@@ -143,7 +143,7 @@ class TraceHandle:
     histogram_sha256: str
     stream_sha256: str
     file_sha256: str
-    code_version: str        #: simulator digest at record time
+    code_version: str        #: package digest at record time
     profile: MixProfile      #: the profile the recorded run executed
 
     @property

@@ -133,11 +133,26 @@ class TestComposite:
         results = engine.run_standard_experiments(
             instructions=500, seed=11)
         for profile in STANDARD_PROFILES:
-            assert engine._CACHE[(profile.name, 500, 11, "vax780")] is \
+            assert engine._CACHE[LaneSpec(profile.name, 500, 11)] is \
                 results[profile.name]
             assert_identical(results[profile.name],
                              scalar_measure(profile, 500, 11))
 
+    def test_memo_keys_the_params_overrides(self, monkeypatch):
+        """A lane run off the stock params never answers the stock
+        lane: the memo keys the whole lane, overrides included."""
+        from repro.workloads import engine
+
+        monkeypatch.setattr(engine, "_CACHE", {})
+        stock = LaneSpec("timesharing-research", 500, 1)
+        small = LaneSpec("timesharing-research", 500, 1,
+                         overrides=(("cache_bytes", 1024),))
+        [small_cache] = engine.measure([small])
+        [measured] = engine.measure([stock])
+        [reference] = run_lanes([stock])
+        assert small_cache.cycles == 3517
+        assert measured.cycles == 3505
+        assert_identical(measured, reference.measurement)
 
     def test_measure_answers_what_it_landed_when_the_memo_drops_it(
             self, monkeypatch):

@@ -1,7 +1,12 @@
 """Content-addressed result store behaviour."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -197,29 +202,47 @@ class TestStats:
 
 
 class TestHashedPaths:
-    """Pin which sources shape the code-version digest.
+    """Every module of the package shapes the code-version digest.
 
-    A result-shaping module silently dropping out of the digest would
-    serve stale records across simulator changes — the very bug class
-    the digest exists to prevent — so coverage is asserted explicitly.
+    A module left out of the digest would let a warm store serve records
+    and documents the current code does not produce — the very bug class
+    the digest exists to prevent — so a planted edit to an observer or a
+    presenter must change it as surely as one to the cycle model.
     """
 
-    def test_result_shaping_modules_are_hashed(self):
-        from repro.explore.store import hashed_paths
+    #: The sweep record builder, a table renderer, a conservation law,
+    #: the metrics registry, serve's canonicalization, a refutation, the
+    #: CLI, the facade and the cycle model.
+    PLANTED = ("explore/runner.py", "report/format.py",
+               "validate/invariants.py", "obs/metrics.py",
+               "serve/canonical.py", "refute/assumptions.py", "cli.py",
+               "api.py", "cpu/ebox.py")
 
-        paths = hashed_paths()
-        for path in ("cpu/ebox.py", "osim/executive.py",
-                     "batch/engine.py", "batch/lanes.py",
-                     "batch/__init__.py"):
-            assert path in paths
+    def test_result_shaping_modules_are_hashed(self, tmp_path):
+        import repro
 
-    def test_observers_and_presenters_are_not(self):
-        from repro.explore.store import hashed_paths
+        package = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
 
-        paths = hashed_paths()
-        assert not any(p.startswith(("explore/", "report/",
-                                     "validate/", "obs/", "serve/",
-                                     "refute/"))
-                       for p in paths)
-        assert "cli.py" not in paths
-        assert "api.py" not in paths
+        def version() -> str:
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.explore.store import code_version; "
+                 "print(code_version())"],
+                env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                cwd=tmp_path, capture_output=True, text=True,
+                timeout=120, check=True)
+            return done.stdout.strip()
+
+        base = version()
+        assert base == code_version()
+        for rel in self.PLANTED:
+            path = package / rel
+            source = path.read_bytes()
+            path.write_bytes(source + b"# planted edit\n")
+            try:
+                assert version() != base, rel
+            finally:
+                path.write_bytes(source)
+        assert version() == base

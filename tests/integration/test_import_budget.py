@@ -17,8 +17,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 #: a package ``__init__`` re-export.
 UNUSED = ("numpy", "repro.cpu.itrace", "repro.arch.disasm",
           "repro.machines.analytical", "repro.workloads.trace",
-          "repro.workloads.rte", "repro.monitor.session",
-          "repro.monitor.unibus")
+          "repro.monitor.session", "repro.monitor.unibus")
 
 SCRIPT = """
 import json, sys
